@@ -6,7 +6,7 @@
 //                   [--warmup=N] [--seed=N] [--replicates=R] [--threads=T]
 //                   [--buffer-capacity=C] [--flow=vct|saf|credit]
 //                   [--credit-latency=N] [--correlations]
-//                   [--rng=philox|xoshiro] [--simd=auto|off]
+//                   [--simd=auto|off]
 //                   [--checkpoints=3,6,9,12] [--format=table|json|csv]
 //                   [--metrics-out=FILE] [--obs-stride=N] [--obs-trace=N]
 //                   [--obs-wall]
@@ -106,7 +106,7 @@ io::Json build_run_report(const sim::NetworkConfig& cfg,
   config.set("warmup_cycles", static_cast<std::int64_t>(cfg.warmup_cycles));
   config.set("measure_cycles", static_cast<std::int64_t>(cfg.measure_cycles));
   config.set("seed", static_cast<std::uint64_t>(cfg.seed));
-  config.set("rng", sim::to_string(cfg.rng));
+  config.set("rng", "philox");
   config.set("simd", simd::to_string(simd::active_level()));
   config.set("replicates", static_cast<std::int64_t>(replicates));
   config.set("obs_stride", static_cast<std::int64_t>(cfg.obs.stride));
@@ -192,12 +192,6 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
                       "\"");
   }
   cfg.credit_latency = args.get_unsigned("credit-latency", 2);
-  const std::string rng = args.get("rng", "philox");
-  try {
-    cfg.rng = sim::parse_rng_kind(rng);
-  } catch (const std::invalid_argument&) {
-    throw usage_error("--rng: expected philox|xoshiro, got \"" + rng + "\"");
-  }
   const std::string simd = args.get("simd", "auto");
   if (simd == "off")
     simd::force_level(simd::Level::kScalar);

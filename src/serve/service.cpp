@@ -6,6 +6,8 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include <poll.h>
@@ -211,12 +213,30 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
   }
 
   std::vector<std::string> responses(batch.size());
-  std::vector<bool> succeeded(batch.size(), false);
+  // One byte per request: parallel workers write neighbouring slots, which
+  // std::vector<bool>'s shared words would turn into lost updates.
+  std::vector<unsigned char> succeeded(batch.size(), 0);
   std::vector<AccessEntry> entries(observing ? batch.size() : 0);
   std::vector<double> service_us(batch.size(), 0.0);
   std::vector<double> queue_us(batch.size(), 0.0);
 
-  par::parallel_for(pool_, batch.size(), [&](std::size_t i) {
+  // Single flight: the first occurrence of each canonical key in the batch
+  // is evaluated in the first parallel pass; later duplicates run in a
+  // second pass, once every first occurrence has filled the cache. So a
+  // duplicate's `cached` flag is a pure function of the request stream,
+  // not of thread timing.
+  std::vector<std::string> keys(batch.size());
+  std::vector<std::size_t> firsts, repeats;
+  {
+    std::unordered_set<std::string_view> seen;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].valid()) keys[i] = batch[i].query.canonical();
+      const bool repeat = batch[i].valid() && !seen.insert(keys[i]).second;
+      (repeat ? repeats : firsts).push_back(i);
+    }
+  }
+
+  const auto serve_one = [&](std::size_t i) {
     Request& req = batch[i];
     if (observing && req.trace_id.empty())
       req.trace_id = generate_trace_id();
@@ -255,7 +275,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
               " ms expired before evaluation",
           req.trace_id);
     } else {
-      const std::string key = req.query.canonical();
+      const std::string& key = keys[i];
       const std::uint64_t hash = fnv1a64(key);
       shard = static_cast<int>(hash % cache_.shard_count());
       if (auto hit = cache_.lookup(hash, key)) {
@@ -263,7 +283,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
         cached = true;
         responses[i] =
             render_ok(req.id, req.query.kernel, true, *hit, req.trace_id);
-        succeeded[i] = true;
+        succeeded[i] = 1;
       } else {
         misses_->inc();
         try {
@@ -271,7 +291,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
           responses[i] = render_ok(req.id, req.query.kernel, false, bytes,
                                    req.trace_id);
           cache_.insert(hash, key, std::move(bytes));
-          succeeded[i] = true;
+          succeeded[i] = 1;
         } catch (const std::exception& e) {
           error_kind = wire_kind(e);
           responses[i] =
@@ -298,7 +318,11 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       entry.eval_us = service_us[i];
       entry.deadline_ms = req.deadline_ms;
     }
-  });
+  };
+  par::parallel_for(pool_, firsts.size(),
+                    [&](std::size_t j) { serve_one(firsts[j]); });
+  par::parallel_for(pool_, repeats.size(),
+                    [&](std::size_t j) { serve_one(repeats[j]); });
 
   {
     // Histogram updates are single-writer: recorded here, after the

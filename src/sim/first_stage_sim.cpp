@@ -40,10 +40,9 @@ FirstStageResults run_first_stage(const FirstStageConfig& cfg) {
     throw std::invalid_argument(
         "run_first_stage: hotspot_target must name an output < s");
 
-  // Counter-mode thresholds (only touched when cfg.rng == kPhilox). The
-  // single switch is small (k inputs), so arrivals stay scalar — one
-  // Philox block per (cycle, input) in the first-stage draw domain.
-  const bool philox = cfg.rng == RngKind::kPhilox;
+  // Counter-mode thresholds. The single switch is small (k inputs), so
+  // arrivals stay scalar — one Philox block per (cycle, input) in the
+  // first-stage draw domain.
   const rng::Philox4x32::Key key = rng::philox_key(cfg.seed);
   const std::uint64_t thr_arrival = rng::bernoulli_threshold(cfg.p);
   const std::uint64_t thr_hotspot =
@@ -51,7 +50,6 @@ FirstStageResults run_first_stage(const FirstStageConfig& cfg) {
   const std::uint64_t thr_favorite =
       cfg.q > 0.0 ? rng::bernoulli_threshold(cfg.q) : 0;
 
-  rng::Xoshiro256 gen(cfg.seed);
   QueuePool<Waiting> queues(cfg.s);
   std::vector<std::int64_t> busy_until(cfg.s, 0);
 
@@ -62,42 +60,25 @@ FirstStageResults run_first_stage(const FirstStageConfig& cfg) {
   for (std::int64_t t = 0; t < total; ++t) {
     // Arrivals: each input independently delivers one batch; destinations
     // are the input's favorite output with probability q, else uniform.
-    if (philox) {
-      for (unsigned input = 0; input < cfg.k; ++input) {
-        const auto block = rng::Philox4x32::block(
-            rng::philox_counter(t, input, rng::Site::kFsInject), key);
-        if (static_cast<std::uint64_t>(block[rng::kLaneArrival]) >=
-            thr_arrival)
-          continue;
-        const unsigned dest =
-            (thr_hotspot != 0 &&
-             static_cast<std::uint64_t>(block[rng::kLaneHotspot]) <
-                 thr_hotspot)
-                ? static_cast<unsigned>(cfg.hotspot_target)
-            : (thr_favorite != 0 &&
-               static_cast<std::uint64_t>(block[rng::kLaneFavorite]) <
-                   thr_favorite)
-                ? input % cfg.s
-                : rng::uniform_below(block[rng::kLaneDest], cfg.s);
-        rng::LaneSeq svc(key, t, input, rng::Site::kFsService);
-        for (unsigned pkt = 0; pkt < cfg.bulk; ++pkt)
-          queues.push(dest, Waiting{t, cfg.service.sample(svc)});
-      }
-    } else {
-      for (unsigned input = 0; input < cfg.k; ++input) {
-        if (!gen.bernoulli(cfg.p)) continue;
-        // Hotspot draw first, then the favorite-output draw; both guards
-        // short-circuit so a config with hotspot == 0 (resp. q == 0) makes
-        // exactly the same RNG draws as before the feature existed.
-        const unsigned dest =
-            (cfg.hotspot > 0.0 && gen.bernoulli(cfg.hotspot))
-                ? static_cast<unsigned>(cfg.hotspot_target)
-            : (cfg.q > 0.0 && gen.bernoulli(cfg.q))
-                ? input % cfg.s
-                : static_cast<unsigned>(gen.uniform_int(cfg.s));
-        for (unsigned pkt = 0; pkt < cfg.bulk; ++pkt)
-          queues.push(dest, Waiting{t, cfg.service.sample(gen)});
-      }
+    for (unsigned input = 0; input < cfg.k; ++input) {
+      const auto block = rng::Philox4x32::block(
+          rng::philox_counter(t, input, rng::Site::kFsInject), key);
+      if (static_cast<std::uint64_t>(block[rng::kLaneArrival]) >=
+          thr_arrival)
+        continue;
+      const unsigned dest =
+          (thr_hotspot != 0 &&
+           static_cast<std::uint64_t>(block[rng::kLaneHotspot]) <
+               thr_hotspot)
+              ? static_cast<unsigned>(cfg.hotspot_target)
+          : (thr_favorite != 0 &&
+             static_cast<std::uint64_t>(block[rng::kLaneFavorite]) <
+                 thr_favorite)
+              ? input % cfg.s
+              : rng::uniform_below(block[rng::kLaneDest], cfg.s);
+      rng::LaneSeq svc(key, t, input, rng::Site::kFsService);
+      for (unsigned pkt = 0; pkt < cfg.bulk; ++pkt)
+        queues.push(dest, Waiting{t, cfg.service.sample(svc)});
     }
 
     // Service: each queue begins at most one service per cycle.

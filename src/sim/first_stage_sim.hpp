@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "rng/xoshiro.hpp"
-#include "sim/network.hpp"
 #include "sim/service_spec.hpp"
 #include "stats/histogram.hpp"
 #include "stats/moment_tally.hpp"
@@ -35,10 +33,6 @@ struct FirstStageConfig {
   std::int64_t warmup_cycles = 5'000;
   std::int64_t measure_cycles = 100'000;
   std::uint64_t seed = 1;
-
-  /// Random-stream scheme, mirroring NetworkConfig::rng: counter-based
-  /// Philox by default, the historic sequential xoshiro stream on demand.
-  RngKind rng = RngKind::kPhilox;
 };
 
 /// Waiting-time statistics aggregated over all output queues.

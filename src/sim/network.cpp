@@ -1,31 +1,49 @@
-// Optimized network engine: flat structure-of-arrays queue pool, hot/cold
-// packet split, and active-set scheduling. Produces bit-identical results
-// (statistics, histograms, covariances, telemetry) to the seed engine kept
-// in network_reference.cpp; tests/sim/engine_equivalence_test.cpp enforces
-// the equivalence.
+// The network engine: one cycle loop, compiled once per feature policy.
+// Produces bit-identical results (statistics, histograms, covariances,
+// telemetry) to the seed engine kept as a test oracle
+// (tests/sim/network_reference.cpp); tests/sim/engine_equivalence_test.cpp
+// enforces the equivalence.
 //
-// Layout decisions, in order of measured impact:
-//   * Packet is 32 bytes: the 16-entry stage_waits array the seed engine
-//     copied on every hop lives in a side table (CorrTable) allocated only
-//     when cfg.track_correlations is set; hot packets carry an index.
+// run_network picks a Policy once per call, from three axes:
+//
+//   service      kUnit (det:1), kConstant (det:m, m >= 2), kSampled
+//   buffers      kInfinite, kOccupancy (vct/saf), kCredit
+//   instruments  kNone, kTelemetry (obs on), kFull (correlations and/or
+//                stage histograms; telemetry checked at run time)
+//
+// Every disabled feature compiles out of its instantiation, so each config
+// runs a loop carrying only what it uses. Layout decisions, in order of
+// measured impact:
+//   * Packets are 16 bytes (24 when they carry a sampled service time or
+//     a correlation row): a fresh queue's 4-slot ring is one or two cache
+//     lines. The per-stage waits correlation runs need live in a
+//     side table (CorrTable); packets carry a row index.
 //   * All stages x ports queues live in one QueuePool — flat metadata
 //     arrays indexed by stage * ports + port, element storage carved from
 //     a shared arena (see queue_pool.hpp).
 //   * Each stage keeps an ActiveSet (occupied/busy bitmaps + busy-expiry
-//     heap), so the per-cycle service scan touches only occupied,
+//     timing wheel), so the per-cycle service scan touches only occupied,
 //     non-busy ports instead of sweeping the whole topology. Bits are
 //     walked in ascending port order — the exact order of the seed
 //     engine's full sweep, which is what makes bit-identity possible.
+//   * Each stage's service walk is a chunked two-pass sweep over the
+//     materialized candidate list: pass A reads each head (ring slots
+//     prefetched kLookahead queues ahead), records waits, and builds the
+//     re-stamped outgoing packet; pass B pops and pushes one block later,
+//     while those lines are still resident. Finite-buffer policies
+//     forward each packet as soon as it is admitted instead, because the
+//     next admission must see every earlier transfer.
 #include "sim/network.hpp"
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "rng/philox.hpp"
-#include "rng/xoshiro.hpp"
 #include "sim/active_set.hpp"
 #include "sim/network_detail.hpp"
 #include "sim/queue_pool.hpp"
@@ -36,16 +54,49 @@ namespace ksw::sim {
 
 namespace {
 
-/// Hot per-packet state; one ring-buffer slot, copied on every hop.
+enum class ServiceKind { kUnit, kConstant, kSampled };
+enum class BufferKind { kInfinite, kOccupancy, kCredit };
+enum class InstrumentKind { kNone, kTelemetry, kFull };
+
+template <ServiceKind S, BufferKind B, InstrumentKind I>
+struct Policy {
+  static constexpr bool kUnit = S == ServiceKind::kUnit;
+  static constexpr bool kSampled = S == ServiceKind::kSampled;
+  static constexpr bool kFinite = B != BufferKind::kInfinite;
+  static constexpr bool kCredit = B == BufferKind::kCredit;
+  static constexpr InstrumentKind kInstruments = I;
+  static constexpr bool kFull = I == InstrumentKind::kFull;
+};
+
+/// Hot per-packet state; one ring-buffer slot, copied on every hop. Cycle
+/// stamps are kept modulo 2^32: differences are exact while every wait
+/// and service stays below 2^31 cycles, which the 32-bit total_wait
+/// already assumes.
 struct Packet {
-  std::int64_t arrival = 0;  // cycle available at the current queue
-  std::int64_t born = 0;     // injection cycle (measurement gating)
+  std::uint32_t arrival = 0;   // cycle available at the current queue
   std::uint32_t dst = 0;
-  std::uint32_t service = 1;
   std::int32_t total_wait = 0;
+  std::uint32_t measured = 0;  // injected after warmup: counts in stats
+};
+static_assert(sizeof(Packet) == 16, "Packet must stay a quarter cache line");
+
+/// Packet plus the fields only sampled-service and correlation runs read.
+/// (Optional members as [[no_unique_address]] empties kept the size but
+/// cost the unit loop 15% in copies, so the narrow type stays plain.)
+struct WidePacket : Packet {
+  std::uint32_t service = 1;
   std::uint32_t corr = 0;  // CorrTable row (track_correlations only)
 };
-static_assert(sizeof(Packet) <= 32, "Packet must stay hot-loop sized");
+
+template <class P>
+using PacketFor =
+    std::conditional_t<P::kSampled || P::kFull, WidePacket, Packet>;
+
+/// Signed distance from cycle stamp `from` to `to` (see Packet).
+inline std::int32_t cycles_between(std::uint32_t from,
+                                   std::uint32_t to) noexcept {
+  return static_cast<std::int32_t>(to - from);
+}
 
 /// Side table of per-stage waits for in-flight packets, allocated only in
 /// correlation-tracking runs. Rows are recycled through a free list; a row
@@ -80,56 +131,27 @@ class CorrTable {
   std::vector<std::uint32_t> free_;
 };
 
-
-/// Compact hot-loop packet for the specialized engine below: with unit
-/// service and no correlation row, 16 bytes cover everything a hop needs,
-/// so a fresh queue's whole ring (4 slots) is a single cache line. Cycle
-/// stamps are 32-bit; the engine is only selected when the run length
-/// fits (see fast_engine_eligible).
-struct FastPacket {
-  std::uint32_t arrival = 0;  // cycle available at the current queue
-  std::uint32_t born = 0;     // injection cycle (measurement gating)
-  std::uint32_t dst = 0;
-  std::int32_t total_wait = 0;
-};
-static_assert(sizeof(FastPacket) == 16,
-              "FastPacket must stay a quarter cache line");
-
-/// May run_network dispatch cfg to the specialized engine? Counter-mode
-/// RNG, infinite buffers, unit service, every optional instrument off —
-/// the throughput-gate workload and the bulk of the reproduction book.
-[[nodiscard]] bool fast_engine_eligible(const NetworkConfig& cfg) {
-  return cfg.rng == RngKind::kPhilox && cfg.buffer_capacity == 0 &&
-         cfg.service.is_unit() && !(obs::kEnabled && cfg.obs.enabled) &&
-         !cfg.track_correlations && !cfg.track_stage_histograms &&
-         cfg.warmup_cycles + cfg.measure_cycles <
-             std::int64_t{std::numeric_limits<std::uint32_t>::max()};
-}
-
-/// Specialized cycle engine for fast_engine_eligible configs. Strips every
-/// disabled-feature branch from the generic loop and restructures each
-/// stage's service walk into a chunked two-pass sweep over a materialized
-/// candidate list:
-///
-///   pass A reads each head (ring slots prefetched kLookahead queues
-///   ahead), records waits, and builds the re-stamped outgoing packet;
-///   pass B pops and pushes one block later, while those lines are still
-///   resident.
-///
-/// The split is order-equivalent to the interleaved generic loop: pass A
-/// only reads stage-s queues, pass B's pops (stage s) and pushes (stage
-/// s+1) touch disjoint queues, pushes keep ascending-port order (the
-/// downstream FIFO interleave), and every statistic is an exact integer
-/// merge — so results are bit-identical to the generic engine;
-/// tests/sim/engine_equivalence_test.cpp enforces this.
-NetworkResults run_network_fast(const NetworkConfig& cfg,
-                                const Topology& topo,
-                                const simd::InjectParams& inj) {
+template <class P>
+NetworkResults run_cycles(const NetworkConfig& cfg, const Topology& topo) {
+  using Pkt = PacketFor<P>;
   const std::uint32_t ports = topo.ports();
   const unsigned n = cfg.stages;
-  QueuePool<FastPacket> pool(static_cast<std::size_t>(n) * ports);
-  std::vector<ActiveSet> active(n, ActiveSet(ports));
+  const simd::InjectParams inj = detail::make_inject_params(cfg, ports);
 
+  // Queue id for (stage s, address a) is s * ports + a: one flat index
+  // into the pool and every per-queue side array. Finite-buffer runs
+  // freeze the pool at the buffer depth: admission bounds occupancy, so
+  // the rings never grow.
+  QueuePool<Pkt> pool(static_cast<std::size_t>(n) * ports,
+                      P::kFinite ? cfg.buffer_capacity : 4, P::kFinite);
+  std::vector<ActiveSet> active(
+      n, ActiveSet(ports, P::kUnit ? 0
+                                   : ActiveSet::span_for(
+                                         cfg.service.max_cycles())));
+  const std::uint32_t constant_m = cfg.service.constant_cycles();
+
+  // Checkpoint lookup: after completing c stages, record into
+  // total_wait[checkpoint_of[c]].
   std::vector<int> checkpoint_of(n + 1, -1);
   for (std::size_t i = 0; i < cfg.total_checkpoints.size(); ++i)
     checkpoint_of[cfg.total_checkpoints[i]] = static_cast<int>(i);
@@ -138,19 +160,45 @@ NetworkResults run_network_fast(const NetworkConfig& cfg,
   out.stage_wait.resize(n);
   out.stage_depth.resize(n);
   out.total_wait.resize(cfg.total_checkpoints.size());
+  const bool track_hist = P::kFull && cfg.track_stage_histograms;
+  const bool track_corr = P::kFull && cfg.track_correlations;
+  if (track_hist) out.stage_hist.resize(n);
+  if (track_corr) out.stage_covariance.emplace(n);
+  CorrTable corr(track_corr ? n : 1);
+  std::vector<double> corr_scratch(track_corr ? n : 0, 0.0);
 
   const std::int64_t total_cycles = cfg.warmup_cycles + cfg.measure_cycles;
-  const auto warmup = static_cast<std::uint32_t>(
-      std::clamp<std::int64_t>(cfg.warmup_cycles, 0, total_cycles));
+  const std::int64_t warmup_end =
+      std::clamp<std::int64_t>(cfg.warmup_cycles, 0, total_cycles);
   constexpr std::int64_t kDepthSampleStride = 64;
+  detail::FlowState flow;
+  if constexpr (P::kFinite) flow.init(cfg, n, ports);
+
+  detail::ObsState ob;
+  ob.init(cfg, n, total_cycles, out);
+  const bool obs_on = P::kInstruments == InstrumentKind::kTelemetry ||
+                      (P::kFull && ob.on);
+  const bool trace_on = P::kInstruments != InstrumentKind::kNone && ob.trace_on;
+  // Telemetry samples (occupancy histogram, utilization) every
+  // obs.stride cycles. A server is busy at a sample when its busy bit is
+  // set after the walk (a service of m >= 2 still running) or it started
+  // a service that cycle; the walk records only the latter, and only on
+  // sample cycles. Depths are tallied per stage and recorded once per
+  // distinct value.
+  const bool sample_telemetry = obs_on && cfg.obs.stride != 0;
+  std::vector<std::uint8_t> started_now(
+      sample_telemetry ? static_cast<std::size_t>(n) * ports : 0, 0);
+  std::vector<std::uint64_t> depth_count(
+      sample_telemetry ? cfg.obs.occupancy_buckets : 0, 0);
+
   // Swept on the bench workload (k=4, 6 stages, rho=0.8): lookahead 4
   // beat 2/8/16, block 64 beat 16/32/128, and prefetching the downstream
   // tail slot was a net loss (the write misses overlap fine on their own).
   constexpr std::size_t kLookahead = 4;
-  constexpr std::size_t kBlock = 64;
-
+  constexpr std::size_t kBlock =
+      P::kFinite ? std::numeric_limits<std::size_t>::max() : 64;
   struct Move {
-    FastPacket pkt;               // already re-stamped for the next stage
+    Pkt pkt;                      // already re-stamped for the next stage
     std::uint32_t addr = 0;       // port within stage s
     std::uint32_t next_addr = 0;  // port within stage s+1 (exit: unused)
   };
@@ -158,95 +206,291 @@ NetworkResults run_network_fast(const NetworkConfig& cfg,
   std::vector<std::uint32_t> cand;
   cand.reserve(ports);
   std::vector<Move> moves;
-  moves.reserve(kBlock);
+  if constexpr (!P::kFinite) moves.reserve(kBlock);
 
-  for (std::int64_t t = 0; t < total_cycles; ++t) {
-    // Injection: unit service means the per-port service lane is never
-    // drawn, so the batched destinations are the whole decision.
-    simd::inject_batch(inj, t, 0, ports, inject_dst.data());
-    const bool measuring = t >= cfg.warmup_cycles;
+  // One simulated cycle; called with strictly increasing t.
+  const auto step = [&](const std::int64_t t, const bool measuring) {
     const auto now = static_cast<std::uint32_t>(t);
+    const bool sample_cycle =
+        sample_telemetry && measuring &&
+        t % static_cast<std::int64_t>(cfg.obs.stride) == 0;
+    if constexpr (P::kCredit) flow.begin_cycle(t);
+
+    // --- Injection at the first stage ------------------------------------
+    // Per-cycle injections are decided for every port at once by the
+    // batched Philox kernel — draws are addressed by (cycle, port, site),
+    // so the batch is bit-identical to port-at-a-time evaluation.
+    simd::inject_batch(inj, t, 0, ports, inject_dst.data());
+    std::uint64_t injected = 0;
     for (std::uint32_t src = 0; src < ports; ++src) {
       const std::uint32_t dst = inject_dst[src];
       if (dst == simd::kNoArrival) continue;
-      const std::uint32_t addr0 = topo.entry_queue(src, dst);
-      FastPacket pkt;
+      const std::uint32_t addr0 = topo.entry_queue(src, dst);  // qid(0, .)
+      [[maybe_unused]] rng::LaneSeq svc(inj.key, t, src, rng::Site::kService);
+      Pkt pkt;
       pkt.arrival = now;
-      pkt.born = now;
       pkt.dst = dst;
-      for (unsigned b = 0; b < cfg.bulk; ++b) pool.push(addr0, pkt);
-      active[0].mark_occupied(addr0);
-      if (measuring) out.packets_injected += cfg.bulk;
+      pkt.measured = measuring;
+      for (unsigned b = 0; b < cfg.bulk; ++b) {
+        if constexpr (P::kFinite)
+          if (pool.size(addr0) >= cfg.buffer_capacity) {
+            if (measuring) ++out.packets_dropped;
+            continue;
+          }
+        if constexpr (P::kSampled) pkt.service = cfg.service.sample(svc);
+        if constexpr (P::kFull)
+          if (track_corr) pkt.corr = corr.allocate();
+        pool.push(addr0, pkt);
+        active[0].mark_occupied(addr0);
+        ++injected;
+      }
     }
+    if (measuring) out.packets_injected += injected;
 
+    // --- Service, stage by stage -----------------------------------------
     for (unsigned s = 0; s < n; ++s) {
       ActiveSet& sched = active[s];
+      if constexpr (!P::kUnit) sched.expire(t);
       cand.clear();
       sched.for_each_candidate([&](std::uint32_t a) { cand.push_back(a); });
       const std::size_t base = static_cast<std::size_t>(s) * ports;
       stats::MomentTally& wait = out.stage_wait[s];
       const int cp = checkpoint_of[s + 1];
       const bool exit_stage = s + 1 == n;
+      ActiveSet& down = active[exit_stage ? s : s + 1];
       const std::size_t count = cand.size();
+      // Per-stage telemetry tallies live in locals through the walk, so
+      // the per-start increments do not chain through memory. The peak
+      // depth is read before pops: between two pops a queue only grows,
+      // so its largest size after any push is its size before the next
+      // pop (or, after its last pop, its size at the end of the run).
+      std::uint64_t starts = 0;
+      std::uint64_t waits = 0;
+      std::int64_t wait_sum = 0;
+      std::size_t peak = 0;
+
+      // Pass B, per move: pop stage s and (interior stages) push stage
+      // s+1. Ascending port order keeps the downstream FIFO interleave of
+      // the full sweep.
+      const auto pop_head = [&](std::uint32_t a) {
+        const std::size_t q = base + a;
+        const std::size_t before = pool.size(q);
+        if (obs_on) peak = std::max(peak, before);
+        pool.pop(q);
+        if (before == 1) sched.clear_occupied(a);
+      };
+      const auto forward = [&](const Move& mv) {
+        pop_head(mv.addr);
+        const std::size_t nq = base + ports + mv.next_addr;
+        if constexpr (P::kCredit) flow.on_forward(nq);
+        pool.push(nq, mv.pkt);
+        down.mark_occupied(mv.next_addr);
+      };
 
       for (std::size_t blk = 0; blk < count; blk += kBlock) {
-        const std::size_t end = std::min(blk + kBlock, count);
+        const std::size_t end = blk + std::min(kBlock, count - blk);
         moves.clear();
+        // Pass A: read heads, admit, record, re-stamp.
         for (std::size_t i = blk; i < end; ++i) {
           if (i + kLookahead < count)
             pool.prefetch_front(base + cand[i + kLookahead]);
           const std::uint32_t a = cand[i];
-          const FastPacket& head = pool.front(base + a);
-          if (head.arrival > now) continue;  // delivered later this cycle
+          const std::size_t q = base + a;
+          const Pkt& head = pool.front(q);
+          if (cycles_between(now, head.arrival) > 0)
+            continue;  // delivered later this cycle
           Move mv;
           mv.addr = a;
           mv.pkt = head;
-          mv.pkt.arrival = now + 1;
-          if (head.born >= warmup) {
-            const std::int64_t w =
-                static_cast<std::int64_t>(now) - head.arrival;
+          // Finite buffers: block upstream service when the flow-control
+          // scheme denies the transfer (full downstream queue, or no
+          // credit under kCredit).
+          if (P::kFinite && !exit_stage) {
+            mv.next_addr = topo.next_queue(s, a, head.dst);
+            const std::size_t nq = base + ports + mv.next_addr;
+            if (!flow.admit(nq, pool.size(nq))) {
+              if (obs_on && measuring) {
+                ++ob.tally[s].blocked;
+                if (P::kCredit) ++ob.tally[s].credit_stalls;
+              }
+              continue;
+            }
+          }
+
+          const std::int32_t w = cycles_between(head.arrival, now);
+          if (trace_on) {
+            wait_sum += w;
+            ++waits;
+          }
+          if (obs_on && measuring) ++starts;
+          if (head.measured) {
             wait.add(w);
-            mv.pkt.total_wait += static_cast<std::int32_t>(w);
+            if (track_hist) out.stage_hist[s].add(w);
+            mv.pkt.total_wait += w;
+            if constexpr (P::kFull)
+              if (track_corr) corr.row(head.corr)[s] = w;
             if (cp >= 0)
               out.total_wait[static_cast<std::size_t>(cp)].add(
                   mv.pkt.total_wait);
-            if (exit_stage) ++out.packets_delivered;
+            if (exit_stage) {
+              ++out.packets_delivered;
+              if constexpr (P::kFull)
+                if (track_corr) {
+                  const std::int32_t* row = corr.row(head.corr);
+                  for (unsigned j = 0; j < n; ++j)
+                    corr_scratch[j] = static_cast<double>(row[j]);
+                  out.stage_covariance->add(corr_scratch);
+                }
+            }
           }
-          if (!exit_stage) mv.next_addr = topo.next_queue(s, a, head.dst);
-          moves.push_back(mv);
+          if constexpr (P::kFull)
+            if (track_corr && exit_stage) corr.release(head.corr);
+
+          std::uint32_t service = 1;
+          if constexpr (P::kSampled)
+            service = head.service;
+          else if constexpr (!P::kUnit)
+            service = constant_m;
+          if (sample_cycle) started_now[q] = 1;
+          if constexpr (P::kCredit) flow.on_service_start(s, q, t);
+          mv.pkt.arrival = static_cast<std::uint32_t>(
+              P::kFinite ? flow.arrival_stamp(t, service) : t + 1);
+          // Unit services never block the next cycle; only m >= 2
+          // enters the busy set (and its expiry wheel).
+          if constexpr (!P::kUnit)
+            if (service > 1) sched.mark_busy(a, t + service);
+          // Infinite queues route last: routing ahead of the statistics
+          // measured a few percent slower on the unit-service loop.
+          if (!P::kFinite && !exit_stage)
+            mv.next_addr = topo.next_queue(s, a, head.dst);
+          // Finite buffers forward at once: the next admission must see
+          // this transfer.
+          if constexpr (P::kFinite) {
+            if (exit_stage)
+              pop_head(a);
+            else
+              forward(mv);
+          } else {
+            moves.push_back(mv);
+          }
         }
 
-        if (exit_stage) {
-          for (const Move& mv : moves) {
-            const std::size_t q = base + mv.addr;
-            pool.pop(q);
-            if (pool.empty(q)) sched.clear_occupied(mv.addr);
-          }
-        } else {
-          ActiveSet& down = active[s + 1];
-          for (const Move& mv : moves) {
-            const std::size_t q = base + mv.addr;
-            pool.pop(q);
-            if (pool.empty(q)) sched.clear_occupied(mv.addr);
-            pool.push(base + ports + mv.next_addr, mv.pkt);
-            down.mark_occupied(mv.next_addr);
-          }
+        if constexpr (!P::kFinite) {
+          if (exit_stage)
+            for (const Move& mv : moves) pop_head(mv.addr);
+          else
+            for (const Move& mv : moves) forward(mv);
+        }
+      }
+
+      if constexpr (P::kInstruments != InstrumentKind::kNone) {
+        if (trace_on) {
+          ob.conv_sum[s] += wait_sum;
+          ob.conv_cnt[s] += waits;
+        }
+        if (obs_on) {
+          ob.tally[s].starts += starts;
+          ob.tally[s].peak = std::max(ob.tally[s].peak, peak);
         }
       }
     }
 
-    // --- Occupancy sampling (same stride and in-flight exclusion) --------
-    if (measuring && t % kDepthSampleStride == 0)
-      for (unsigned s = 0; s < n; ++s)
+    // Waiting packets at queue q: in-flight arrivals (stamped after now)
+    // sit at the tail and are excluded.
+    const auto present_at = [&](std::size_t q) {
+      std::size_t present = pool.size(q);
+      while (present > 0 &&
+             cycles_between(now, pool.at(q, present - 1).arrival) > 0)
+        --present;
+      return present;
+    };
+
+    // --- Occupancy and telemetry sampling --------------------------------
+    const bool depth_cycle = measuring && t % kDepthSampleStride == 0;
+    if (depth_cycle || sample_cycle)
+      for (unsigned s = 0; s < n; ++s) {
+        std::uint64_t busy = 0;
         for (std::uint32_t a = 0; a < ports; ++a) {
           const std::size_t q = static_cast<std::size_t>(s) * ports + a;
-          std::size_t present = pool.size(q);
-          while (present > 0 && pool.at(q, present - 1).arrival > now)
-            --present;
-          out.stage_depth[s].add(static_cast<std::int64_t>(present));
+          const std::size_t present = present_at(q);
+          if (depth_cycle)
+            out.stage_depth[s].add(static_cast<std::int64_t>(present));
+          if (!sample_cycle) continue;
+          if (present < depth_count.size())
+            ++depth_count[present];
+          else
+            ob.sobs[s].occupancy->record(static_cast<double>(present));
+          busy += started_now[q] | active[s].busy(a);
+          started_now[q] = 0;
         }
+        if (!sample_cycle) continue;
+        for (std::size_t v = 0; v < depth_count.size(); ++v)
+          if (depth_count[v] != 0) {
+            ob.sobs[s].occupancy->record(static_cast<double>(v),
+                                         depth_count[v]);
+            depth_count[v] = 0;
+          }
+        ob.tally[s].busy += busy;
+        ob.tally[s].idle += ports - busy;
+      }
+
+    if constexpr (P::kInstruments != InstrumentKind::kNone) {
+      // --- Convergence checkpoint ----------------------------------------
+      ob.checkpoint(t, out);
+    }
+  };
+
+  // --- Phased main loop: warmup then measurement, each timed -------------
+  for (const bool measuring : {false, true}) {
+    obs::ScopedTimer timer(
+        obs_on ? &out.metrics.timer(measuring ? "sim.phase.measure"
+                                              : "sim.phase.warmup")
+               : nullptr);
+    const std::int64_t end = measuring ? total_cycles : warmup_end;
+    for (std::int64_t t = measuring ? warmup_end : 0; t < end; ++t)
+      step(t, measuring);
   }
+
+  // Queues never popped again keep their final size as a peak candidate.
+  if (obs_on)
+    for (unsigned s = 0; s < n; ++s)
+      for (std::uint32_t a = 0; a < ports; ++a)
+        ob.tally[s].peak =
+            std::max(ob.tally[s].peak,
+                     pool.size(static_cast<std::size_t>(s) * ports + a));
+  ob.flush(warmup_end, total_cycles, out);
   return out;
+}
+
+/// Lift a runtime enum value into the matching std::integral_constant
+/// alternative, so std::visit instantiates one engine per combination.
+template <auto... Kinds, typename E>
+std::variant<std::integral_constant<E, Kinds>...> lift(E value) {
+  std::variant<std::integral_constant<E, Kinds>...> out;
+  (void)((value == Kinds
+              ? (out = std::integral_constant<E, Kinds>{}, true)
+              : false) ||
+         ...);
+  return out;
+}
+
+ServiceKind service_kind(const ServiceSpec& service) {
+  if (service.is_unit()) return ServiceKind::kUnit;
+  return service.constant_cycles() != 0 ? ServiceKind::kConstant
+                                        : ServiceKind::kSampled;
+}
+
+BufferKind buffer_kind(const NetworkConfig& cfg) {
+  if (cfg.buffer_capacity == 0) return BufferKind::kInfinite;
+  return cfg.flow == FlowControl::kCredit ? BufferKind::kCredit
+                                          : BufferKind::kOccupancy;
+}
+
+InstrumentKind instrument_kind(const NetworkConfig& cfg) {
+  if (cfg.track_correlations || cfg.track_stage_histograms)
+    return InstrumentKind::kFull;
+  return obs::kEnabled && cfg.obs.enabled ? InstrumentKind::kTelemetry
+                                          : InstrumentKind::kNone;
 }
 
 }  // namespace
@@ -279,254 +523,19 @@ void NetworkResults::merge(const NetworkResults& other) {
 NetworkResults run_network(const NetworkConfig& cfg) {
   detail::validate(cfg);
   const Topology topo(cfg.topology, cfg.k, cfg.stages);
-  const std::uint32_t ports = topo.ports();
-  detail::validate_hotspot_target(cfg, ports);
-  const unsigned n = cfg.stages;
-
-  // Counter-mode (default): per-cycle injections are decided for every
-  // port at once by the batched Philox kernel — draws are addressed by
-  // (cycle, port, site), so the batch is bit-identical to the reference
-  // engine's port-at-a-time evaluation. Legacy mode replays the historic
-  // sequential xoshiro stream.
-  const bool philox = cfg.rng == RngKind::kPhilox;
-  const simd::InjectParams inj = detail::make_inject_params(cfg, ports);
-
-  // The throughput-gate workload and most reproduction-book runs qualify
-  // for the branch-specialized engine; its results are bit-identical to
-  // the generic loop below (the equivalence suite compares all three
-  // pairwise: fast, generic, reference).
-  if (fast_engine_eligible(cfg)) return run_network_fast(cfg, topo, inj);
-
-  std::vector<std::uint32_t> inject_dst(philox ? ports : 0);
-  rng::Xoshiro256 gen(cfg.seed);
-
-  // Queue id for (stage s, address a): one flat index into the pool and
-  // every per-queue side array. Finite-buffer runs freeze the pool at the
-  // buffer depth: admission bounds occupancy, so the rings never grow.
-  const bool finite = cfg.buffer_capacity > 0;
-  QueuePool<Packet> pool(static_cast<std::size_t>(n) * ports,
-                         finite ? cfg.buffer_capacity : 4, finite);
-  const auto qid = [ports](unsigned s, std::uint32_t a) {
-    return static_cast<std::size_t>(s) * ports + a;
-  };
-  std::vector<ActiveSet> active(n, ActiveSet(ports));
-
-  // Checkpoint lookup: after completing c stages, record into
-  // total_wait[checkpoint_of[c]].
-  std::vector<int> checkpoint_of(n + 1, -1);
-  for (std::size_t i = 0; i < cfg.total_checkpoints.size(); ++i)
-    checkpoint_of[cfg.total_checkpoints[i]] = static_cast<int>(i);
-
-  NetworkResults out;
-  out.stage_wait.resize(n);
-  out.stage_depth.resize(n);
-  if (cfg.track_stage_histograms) out.stage_hist.resize(n);
-  out.total_wait.resize(cfg.total_checkpoints.size());
-  if (cfg.track_correlations) out.stage_covariance.emplace(n);
-
-  CorrTable corr(cfg.track_correlations ? n : 1);
-  std::vector<double> corr_scratch(n, 0.0);
-  const std::int64_t total_cycles = cfg.warmup_cycles + cfg.measure_cycles;
-  constexpr std::int64_t kDepthSampleStride = 64;
-  detail::FlowState flow;
-  flow.init(cfg, n, ports);
-  const bool credit_mode = finite && cfg.flow == FlowControl::kCredit;
-
-  detail::ObsState ob;
-  ob.init(cfg, n, total_cycles, out);
-  const bool obs_on = ob.on;
-  // Utilization sampling needs per-port service end times; the scheduler
-  // itself only tracks multi-cycle services (in the ActiveSet heaps), so
-  // keep the flat busy_until array only when the samples are taken.
-  const bool sample_busy = obs_on && cfg.obs.stride != 0;
-  std::vector<std::int64_t> busy_until(
-      sample_busy ? static_cast<std::size_t>(n) * ports : 0, 0);
-
-  const bool unit_service = cfg.service.is_unit();
-
-  // One simulated cycle; called with strictly increasing t.
-  const auto step = [&](const std::int64_t t) {
-    flow.begin_cycle(t);
-
-    // --- Injection at the first stage ------------------------------------
-    // Shared push body; the service sampler differs per RNG mode.
-    const auto inject_from = [&](std::uint32_t src, std::uint32_t dst,
-                                 auto&& sample_service) {
-      (void)src;
-      const std::uint32_t addr0 = topo.entry_queue(src, dst);
-      const std::size_t q0 = addr0;  // qid(0, addr0)
-      for (unsigned b = 0; b < cfg.bulk; ++b) {
-        if (finite && pool.size(q0) >= cfg.buffer_capacity) {
-          if (t >= cfg.warmup_cycles) ++out.packets_dropped;
-          continue;
-        }
-        Packet pkt;
-        pkt.dst = dst;
-        pkt.service = unit_service ? 1u : sample_service();
-        pkt.arrival = t;
-        pkt.born = t;
-        if (cfg.track_correlations) pkt.corr = corr.allocate();
-        pool.push(q0, pkt);
-        active[0].mark_occupied(addr0);
-        if (obs_on)
-          ob.tally[0].peak = std::max(ob.tally[0].peak, pool.size(q0));
-        if (t >= cfg.warmup_cycles) ++out.packets_injected;
-      }
-    };
-
-    if (philox) {
-      simd::inject_batch(inj, t, 0, ports, inject_dst.data());
-      for (std::uint32_t src = 0; src < ports; ++src) {
-        const std::uint32_t dst = inject_dst[src];
-        if (dst == simd::kNoArrival) continue;
-        rng::LaneSeq svc(inj.key, t, src, rng::Site::kService);
-        inject_from(src, dst, [&] { return cfg.service.sample(svc); });
-      }
-    } else {
-      for (std::uint32_t src = 0; src < ports; ++src) {
-        if (!gen.bernoulli(cfg.p)) continue;
-        std::uint32_t dst;
-        if (cfg.hotspot > 0.0 && gen.bernoulli(cfg.hotspot))
-          dst = cfg.hotspot_target;
-        else if (cfg.q > 0.0 && gen.bernoulli(cfg.q))
-          dst = src;
-        else
-          dst = static_cast<std::uint32_t>(gen.uniform_int(ports));
-        inject_from(src, dst, [&] { return cfg.service.sample(gen); });
-      }
-    }
-
-    // --- Service, stage by stage -----------------------------------------
-    for (unsigned s = 0; s < n; ++s) {
-      ActiveSet& sched = active[s];
-      sched.expire(t);
-      sched.for_each_candidate([&](std::uint32_t a) {
-        const std::size_t q = qid(s, a);
-        Packet& head = pool.front(q);
-        if (head.arrival > t) return;  // delivered later this cycle
-
-        std::uint32_t next_addr = 0;
-        if (s + 1 < n) {
-          next_addr = topo.next_queue(s, a, head.dst);
-          // Finite buffers: block upstream service when the flow-control
-          // scheme denies the transfer (full downstream queue, or no
-          // credit under kCredit).
-          if (finite) {
-            const std::size_t nq = qid(s + 1, next_addr);
-            if (!flow.admit(nq, pool.size(nq))) {
-              if (obs_on && t >= cfg.warmup_cycles) {
-                ++ob.tally[s].blocked;
-                if (credit_mode) ++ob.tally[s].credit_stalls;
-              }
-              return;
-            }
-          }
-        }
-
-        const std::int64_t w = t - head.arrival;
-        if (ob.trace_on) {
-          ob.conv_sum[s] += static_cast<double>(w);
-          ++ob.conv_cnt[s];
-        }
-        if (obs_on && t >= cfg.warmup_cycles) ++ob.tally[s].starts;
-        const bool measured = head.born >= cfg.warmup_cycles;
-        if (measured) {
-          out.stage_wait[s].add(w);
-          if (cfg.track_stage_histograms) out.stage_hist[s].add(w);
-          head.total_wait += static_cast<std::int32_t>(w);
-          if (cfg.track_correlations)
-            corr.row(head.corr)[s] = static_cast<std::int32_t>(w);
-          const int cp = checkpoint_of[s + 1];
-          if (cp >= 0) out.total_wait[static_cast<std::size_t>(cp)].add(
-              head.total_wait);
-        }
-
-        const std::uint32_t service = head.service;
-        if (sample_busy) busy_until[q] = t + service;
-        if (finite) flow.on_service_start(s, q, t);
-        if (s + 1 < n) {
-          Packet moved = head;
-          moved.arrival = flow.arrival_stamp(t, service);
-          pool.pop(q);
-          if (pool.empty(q)) sched.clear_occupied(a);
-          const std::size_t nq = qid(s + 1, next_addr);
-          if (finite) flow.on_forward(nq);
-          pool.push(nq, moved);
-          active[s + 1].mark_occupied(next_addr);
-          if (obs_on)
-            ob.tally[s + 1].peak =
-                std::max(ob.tally[s + 1].peak, pool.size(nq));
-        } else {
-          if (measured) {
-            ++out.packets_delivered;
-            if (cfg.track_correlations) {
-              const std::int32_t* row = corr.row(head.corr);
-              for (unsigned i = 0; i < n; ++i)
-                corr_scratch[i] = static_cast<double>(row[i]);
-              out.stage_covariance->add(corr_scratch);
-            }
-          }
-          if (cfg.track_correlations) corr.release(head.corr);
-          pool.pop(q);
-          if (pool.empty(q)) sched.clear_occupied(a);
-        }
-        // Unit services never block the next cycle; only m >= 2 enters
-        // the busy set (and its expiry heap).
-        if (service > 1) sched.mark_busy(a, t + service);
-      });
-    }
-
-    // --- Occupancy sampling ----------------------------------------------
-    if (t >= cfg.warmup_cycles && t % kDepthSampleStride == 0)
-      for (unsigned s = 0; s < n; ++s)
-        for (std::uint32_t a = 0; a < ports; ++a) {
-          // Exclude packets still in flight on the inter-stage link
-          // (cut-through arrivals stamped t + 1); they sit at the tail.
-          const std::size_t q = qid(s, a);
-          std::size_t present = pool.size(q);
-          while (present > 0 && pool.at(q, present - 1).arrival > t)
-            --present;
-          out.stage_depth[s].add(static_cast<std::int64_t>(present));
-        }
-
-    // --- Telemetry sampling (occupancy histograms, server utilization) ---
-    if (sample_busy && t >= cfg.warmup_cycles &&
-        t % static_cast<std::int64_t>(cfg.obs.stride) == 0)
-      for (unsigned s = 0; s < n; ++s) {
-        detail::StageObs& so = ob.sobs[s];
-        for (std::uint32_t a = 0; a < ports; ++a) {
-          const std::size_t q = qid(s, a);
-          std::size_t present = pool.size(q);
-          while (present > 0 && pool.at(q, present - 1).arrival > t)
-            --present;
-          so.occupancy->record(static_cast<double>(present));
-          if (busy_until[q] > t)
-            ++ob.tally[s].busy;
-          else
-            ++ob.tally[s].idle;
-        }
-      }
-
-    // --- Convergence checkpoint ------------------------------------------
-    ob.checkpoint(t, out);
-  };
-
-  // --- Phased main loop: warmup then measurement, each timed -------------
-  const std::int64_t warmup_end =
-      std::clamp<std::int64_t>(cfg.warmup_cycles, 0, total_cycles);
-  {
-    obs::ScopedTimer timer(
-        obs_on ? &out.metrics.timer("sim.phase.warmup") : nullptr);
-    for (std::int64_t t = 0; t < warmup_end; ++t) step(t);
-  }
-  {
-    obs::ScopedTimer timer(
-        obs_on ? &out.metrics.timer("sim.phase.measure") : nullptr);
-    for (std::int64_t t = warmup_end; t < total_cycles; ++t) step(t);
-  }
-
-  ob.flush(warmup_end, total_cycles, out);
-  return out;
+  detail::validate_hotspot_target(cfg, topo.ports());
+  return std::visit(
+      [&](auto service, auto buffers, auto instruments) {
+        return run_cycles<Policy<decltype(service)::value,
+                                 decltype(buffers)::value,
+                                 decltype(instruments)::value>>(cfg, topo);
+      },
+      lift<ServiceKind::kUnit, ServiceKind::kConstant, ServiceKind::kSampled>(
+          service_kind(cfg.service)),
+      lift<BufferKind::kInfinite, BufferKind::kOccupancy,
+           BufferKind::kCredit>(buffer_kind(cfg)),
+      lift<InstrumentKind::kNone, InstrumentKind::kTelemetry,
+           InstrumentKind::kFull>(instrument_kind(cfg)));
 }
 
 }  // namespace ksw::sim

@@ -71,26 +71,6 @@ enum class FlowControl {
 /// Parse a canonical scheme name; throws std::invalid_argument otherwise.
 [[nodiscard]] FlowControl parse_flow_control(const std::string& name);
 
-/// Random-number generation scheme for the simulation engines.
-///   * kPhilox — counter-based Philox4x32-10 streams addressed by
-///     (seed, cycle, port, site); draws are independent of visit order,
-///     which enables SIMD batch sampling and restart of a replicate at
-///     any cycle (the default; see src/rng/philox.hpp and DESIGN.md §8b).
-///   * kXoshiro — the historic sequential xoshiro256** stream, preserved
-///     byte-for-byte for comparison against pre-counter baselines.
-/// The two produce different (equally valid) sample paths, so statistics
-/// match in distribution, not bitwise.
-enum class RngKind {
-  kPhilox,
-  kXoshiro,
-};
-
-/// Canonical names: "philox", "xoshiro".
-[[nodiscard]] const char* to_string(RngKind rng) noexcept;
-
-/// Parse a canonical RNG name; throws std::invalid_argument otherwise.
-[[nodiscard]] RngKind parse_rng_kind(const std::string& name);
-
 /// Telemetry knobs for run_network. Everything here is additive: results
 /// used by the paper-reproduction paths are untouched whether or not
 /// telemetry is on, and the whole block is dead code when observability
@@ -131,11 +111,6 @@ struct NetworkConfig {
   std::int64_t warmup_cycles = 10'000;
   std::int64_t measure_cycles = 100'000;
   std::uint64_t seed = 1;
-
-  /// Random-stream scheme; kPhilox draws by (cycle, port, site)
-  /// coordinate and is the default, kXoshiro replays the historic
-  /// sequential stream.
-  RngKind rng = RngKind::kPhilox;
 
   /// 0 = infinite queues (the paper's model). Otherwise, a queue holds at
   /// most this many waiting packets: interior transfers block the upstream
@@ -209,15 +184,10 @@ struct NetworkResults {
   void merge(const NetworkResults& other);
 };
 
-/// Run the network simulation (flat SoA queue pool + active-set scheduler;
-/// see network.cpp for the layout notes).
+/// Run the network simulation: one cycle loop, instantiated per
+/// service/buffer/instrument policy and chosen once per call (see
+/// network.cpp). Random draws are Philox streams addressed by (seed,
+/// cycle, port, site), so results are a pure function of cfg.
 [[nodiscard]] NetworkResults run_network(const NetworkConfig& cfg);
-
-/// The seed engine (array-of-structs packets, full port sweep each cycle),
-/// kept as a correctness oracle: for any config it produces bit-identical
-/// results — statistics, histograms, covariances, and telemetry — to
-/// run_network. Orders of magnitude slower on large topologies; use it for
-/// A/B debugging and the equivalence test suite, not production runs.
-[[nodiscard]] NetworkResults run_network_reference(const NetworkConfig& cfg);
 
 }  // namespace ksw::sim

@@ -26,23 +26,6 @@ FlowControl parse_flow_control(const std::string& name) {
                               name + "\"");
 }
 
-const char* to_string(RngKind rng) noexcept {
-  switch (rng) {
-    case RngKind::kPhilox:
-      return "philox";
-    case RngKind::kXoshiro:
-      return "xoshiro";
-  }
-  return "?";
-}
-
-RngKind parse_rng_kind(const std::string& name) {
-  if (name == "philox") return RngKind::kPhilox;
-  if (name == "xoshiro") return RngKind::kXoshiro;
-  throw std::invalid_argument("rng: expected philox|xoshiro, got \"" + name +
-                              "\"");
-}
-
 }  // namespace ksw::sim
 
 namespace ksw::sim::detail {
@@ -150,14 +133,14 @@ void ObsState::init(const NetworkConfig& cfg, unsigned n,
         conv_grid.push_back(c);
     }
   trace_on = !conv_grid.empty();
-  conv_sum.assign(trace_on ? n : 0, 0.0);
+  conv_sum.assign(trace_on ? n : 0, 0);
   conv_cnt.assign(trace_on ? n : 0, 0);
 }
 
 void ObsState::checkpoint(std::int64_t t, NetworkResults& out) {
   if (trace_on && next_cp < conv_grid.size() && t + 1 == conv_grid[next_cp]) {
     out.convergence.cycles.push_back(t + 1);
-    out.convergence.wait_sum.push_back(conv_sum);
+    out.convergence.wait_sum.emplace_back(conv_sum.begin(), conv_sum.end());
     out.convergence.wait_count.push_back(conv_cnt);
     ++next_cp;
   }

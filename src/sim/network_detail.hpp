@@ -1,8 +1,8 @@
-// Internals shared by the two network-simulation engines.
+// Internals shared by the network engine and its test oracle.
 //
-// run_network (flat SoA pool + active-set scheduler) and
-// run_network_reference (the seed full-sweep engine kept as a correctness
-// oracle) must agree bit-for-bit on every output, including telemetry.
+// run_network (src/sim/network.cpp) and run_network_reference (the seed
+// full-sweep engine, kept under tests/sim as a correctness oracle) must
+// agree bit-for-bit on every output, including telemetry.
 // Everything that is not the cycle loop itself — config validation, metric
 // naming, per-stage telemetry scaffolding, the warmup-convergence grid —
 // lives here so the engines cannot drift apart.
@@ -22,7 +22,7 @@ namespace ksw::sim::detail {
 void validate(const NetworkConfig& cfg);
 
 /// Build the counter-mode injection parameters for a replicate. Shared by
-/// both engines so the thresholds (and therefore the sampled bits) cannot
+/// the engine and the oracle so the thresholds (and therefore the sampled bits) cannot
 /// drift between them. The tiny-probability edge is intentional: a rate
 /// below 2^-33 rounds to threshold 0, which both paths treat as "never".
 [[nodiscard]] inline simd::InjectParams make_inject_params(
@@ -46,7 +46,8 @@ void validate_hotspot_target(const NetworkConfig& cfg, std::uint32_t ports);
 /// registry's name order matches stage order.
 std::string stage_metric(unsigned stage, const char* what);
 
-/// Flow-control bookkeeping shared verbatim by both engines, so the
+/// Flow-control bookkeeping shared verbatim by the engine and the oracle,
+/// so the
 /// admission rule, the downstream arrival stamp, and the credit ledger
 /// cannot drift between them. All methods are no-ops for infinite queues;
 /// credit state is only allocated under FlowControl::kCredit.
@@ -143,10 +144,11 @@ struct ObsState {
   obs::Counter* dropped0 = nullptr;
 
   /// Warmup-convergence trace: cumulative per-stage wait sums (warmup
-  /// included) snapshotted on an even grid over the whole run.
+  /// included) snapshotted on an even grid over the whole run. The sums
+  /// are exact integers, converted to double only at a checkpoint.
   bool trace_on = false;
   std::vector<std::int64_t> conv_grid;
-  std::vector<double> conv_sum;
+  std::vector<std::int64_t> conv_sum;
   std::vector<std::uint64_t> conv_cnt;
   std::size_t next_cp = 0;
 

@@ -89,7 +89,7 @@ class QueuePool {
   }
 
   /// Hint the cache that front(q) is about to be read and popped. The
-  /// network fast path issues these a few queues ahead of the service
+  /// network engine issues these a few queues ahead of the service
   /// walk so the ring-slot miss overlaps useful work.
   void prefetch_front(std::size_t q) const noexcept {
     __builtin_prefetch(data_[q] + head_[q], 1);

@@ -65,26 +65,6 @@ std::uint32_t ServiceSpec::sample(rng::LaneSeq& seq) const {
   return 1;
 }
 
-std::uint32_t ServiceSpec::sample(rng::Xoshiro256& gen) const {
-  switch (kind_) {
-    case Kind::kDeterministic:
-      return m_;
-    case Kind::kMultiSize: {
-      const double u = gen.uniform();
-      for (std::size_t i = 0; i < cumulative_.size(); ++i)
-        if (u < cumulative_[i]) return sizes_[i].cycles;
-      return sizes_.back().cycles;
-    }
-    case Kind::kGeometric: {
-      const std::uint64_t v = gen.geometric(mu_);
-      // Clamp pathological tail draws so they fit the packet field.
-      return static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(v, std::numeric_limits<std::uint32_t>::max()));
-    }
-  }
-  return 1;
-}
-
 double ServiceSpec::mean() const {
   switch (kind_) {
     case Kind::kDeterministic:
@@ -115,6 +95,26 @@ std::shared_ptr<const core::ServiceModel> ServiceSpec::to_model() const {
 
 bool ServiceSpec::is_unit() const noexcept {
   return kind_ == Kind::kDeterministic && m_ == 1;
+}
+
+std::uint32_t ServiceSpec::constant_cycles() const noexcept {
+  return kind_ == Kind::kDeterministic ? m_ : 0;
+}
+
+std::uint32_t ServiceSpec::max_cycles() const noexcept {
+  switch (kind_) {
+    case Kind::kDeterministic:
+      return m_;
+    case Kind::kMultiSize:
+      return std::max_element(sizes_.begin(), sizes_.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.cycles < b.cycles;
+                              })
+          ->cycles;
+    case Kind::kGeometric:
+      break;
+  }
+  return std::numeric_limits<std::uint32_t>::max();
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include "core/models.hpp"
 #include "rng/philox.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace ksw::sim {
 
@@ -33,14 +32,10 @@ class ServiceSpec {
   /// std::invalid_argument on syntax or validation errors.
   static ServiceSpec parse(const std::string& text);
 
-  /// Sample one service time (sequential xoshiro stream).
-  [[nodiscard]] std::uint32_t sample(rng::Xoshiro256& gen) const;
-
   /// Sample one service time from a counter-mode lane sequence. The
   /// deterministic family draws nothing — the sequence only advances for
-  /// distributions that need randomness, exactly like the xoshiro
-  /// overload. Both engines share this code, so counter-mode service
-  /// times are bit-identical between them by construction.
+  /// distributions that need randomness. Every engine shares this code,
+  /// so service times are bit-identical between them by construction.
   [[nodiscard]] std::uint32_t sample(rng::LaneSeq& seq) const;
 
   [[nodiscard]] double mean() const;
@@ -50,6 +45,13 @@ class ServiceSpec {
 
   /// True when every message takes exactly one cycle.
   [[nodiscard]] bool is_unit() const noexcept;
+
+  /// m for det:m; 0 for the random families.
+  [[nodiscard]] std::uint32_t constant_cycles() const noexcept;
+
+  /// Longest service a sample can return (UINT32_MAX for geometric, whose
+  /// tail is unbounded).
+  [[nodiscard]] std::uint32_t max_cycles() const noexcept;
 
  private:
   enum class Kind { kDeterministic, kMultiSize, kGeometric };

@@ -320,7 +320,7 @@ TEST(Usage, MentionsEverySimulateOption) {
       "--topology=",  "--service=",  "--cycles=",   "--warmup=",
       "--seed=",      "--replicates=", "--threads=",
       "--buffer-capacity=", "--flow=", "--credit-latency=",
-      "--rng=",       "--simd=",
+      "--simd=",
       "--correlations", "--checkpoints=",
       "--metrics-out=", "--obs-stride=", "--obs-trace=", "--obs-wall",
       "--format="};

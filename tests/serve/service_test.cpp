@@ -401,5 +401,29 @@ TEST(Service, MultiThreadedRepeatedTuplesStayBitIdentical) {
   EXPECT_EQ(service.cache().stats().entries, 4u);
 }
 
+TEST(Service, DuplicateKeysInOneBatchAreSingleFlight) {
+  // Within one multi-threaded batch, each distinct tuple is evaluated
+  // once and its later duplicates read the cache: the cached flags are
+  // fixed by first-occurrence order, whatever the thread timing.
+  ServeOptions opts;
+  opts.threads = 8;
+  opts.batch = 64;
+  Service service(opts);
+  std::ostringstream in_text;
+  for (int i = 0; i < 64; ++i)
+    in_text << R"({"kernel":"total_delay","id":)" << i
+            << R"(,"params":{"stages":)" << (i % 4 + 2) << "}}\n";
+  std::istringstream in(in_text.str());
+  std::ostringstream out;
+  service.run(in, out, nullptr);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 64u);
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(io::Json::parse(lines[i]).at("cached").as_bool(), i >= 4)
+        << lines[i];
+  EXPECT_EQ(service.cache().stats().misses, 4u);
+  EXPECT_EQ(service.cache().stats().hits, 60u);
+}
+
 }  // namespace
 }  // namespace ksw::serve

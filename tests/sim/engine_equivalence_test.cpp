@@ -1,5 +1,6 @@
-// The production engine (flat SoA queue pool + active-set scheduler) must
-// be bit-identical to the seed engine kept as run_network_reference — not
+// The production engine (one cycle loop per feature policy, flat SoA
+// queue pool, active-set scheduler with a busy-expiry wheel) must be
+// bit-identical to the seed engine kept as run_network_reference — not
 // just statistically close. Both engines share the same RNG draw sequence
 // and the same accumulator add order, so every derived quantity (Welford
 // moments, histograms, covariances, telemetry) matches exactly for a fixed
@@ -11,6 +12,7 @@
 
 #include "obs/report.hpp"
 #include "sim/network.hpp"
+#include "sim/network_reference.hpp"
 #include "simd/simd.hpp"
 
 namespace ksw::sim {
@@ -131,7 +133,7 @@ TEST(EngineEquivalence, HotspotTraffic) {
 
 TEST(EngineEquivalence, BulkArrivalsMultiCycleService) {
   // bulk > 1 plus a multi-size service distribution keeps queues deep and
-  // services long, exercising the busy-expiry heap and ring growth.
+  // services long, exercising the busy-expiry wheel and ring growth.
   NetworkConfig cfg = base_config();
   cfg.bulk = 3;
   cfg.p = 0.15;
@@ -199,14 +201,13 @@ TEST(EngineEquivalence, GeometricServiceNoObs) {
   expect_bit_identical(cfg);
 }
 
-// ---- Fast-engine coverage --------------------------------------------
-// Philox + unit service + infinite queues + no telemetry dispatches to the
-// branch-specialized engine inside run_network (16-byte packets, two-pass
-// service walk). base_config() turns obs on and so never reaches it; the
-// configs below do, and run_network_reference remains the oracle.
+// ---- Stripped-policy coverage ----------------------------------------
+// base_config() turns on histograms and telemetry, so it runs the kFull
+// instrument policy. The configs below reach the stripped ones (no
+// instruments, or telemetry alone), and run_network_reference remains the
+// oracle.
 
-/// A config that qualifies for the fast engine: unit service, infinite
-/// queues, telemetry off.
+/// Unit service, infinite queues, every instrument off.
 NetworkConfig fast_config() {
   NetworkConfig cfg;
   cfg.k = 2;
@@ -269,21 +270,118 @@ TEST(EngineEquivalence, FastEngineForcedScalarMatchesWidestSimd) {
   }
 }
 
-TEST(EngineEquivalence, XoshiroStreamStillSupported) {
-  // The historic sequential RNG is kept for baseline comparison; both
-  // engines must agree on it (and it must not reach the fast engine,
-  // whose injection batching assumes counter addressing).
-  NetworkConfig cfg = base_config();
-  cfg.rng = RngKind::kXoshiro;
-  cfg.seed = 2024;
+TEST(EngineEquivalence, BookTotalDelayShapeDeterministic4) {
+  // The book's total-delay section: k=2, 9 stages, det:4 at rho=0.5,
+  // totals recorded after 3, 6 and 9 stages. Every service start goes
+  // through the expiry wheel.
+  NetworkConfig cfg = fast_config();
+  cfg.stages = 9;
+  cfg.p = 0.125;
+  cfg.service = ServiceSpec::deterministic(4);
+  cfg.total_checkpoints = {3, 6, 9};
+  cfg.warmup_cycles = 400;
+  cfg.measure_cycles = 2'500;
+  cfg.seed = 86;
   expect_bit_identical(cfg);
 }
 
-TEST(EngineEquivalence, XoshiroNoObsUnitService) {
+TEST(EngineEquivalence, GeometricTailBeyondWheelSpan) {
+  // geo:0.05 has mean 20; about 4% of services outlast the 64-slot wheel
+  // and take the overflow heap, interleaved with wheel releases.
   NetworkConfig cfg = fast_config();
-  cfg.rng = RngKind::kXoshiro;
-  cfg.seed = 7;
+  cfg.k = 4;
+  cfg.stages = 3;
+  cfg.p = 0.03;
+  cfg.service = ServiceSpec::geometric(0.05);
+  cfg.total_checkpoints = {1, 3};
+  cfg.measure_cycles = 6'000;
+  cfg.seed = 105;
   expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, ConstantServiceBeyondWheelSpan) {
+  // det:100 exceeds the wheel's 64-slot cap: every busy period is an
+  // overflow-heap entry.
+  NetworkConfig cfg = fast_config();
+  cfg.stages = 3;
+  cfg.p = 0.006;
+  cfg.service = ServiceSpec::deterministic(100);
+  cfg.total_checkpoints = {3};
+  cfg.measure_cycles = 8'000;
+  cfg.seed = 100;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, ConstantServiceCutThroughBuffers) {
+  NetworkConfig cfg = fast_config();
+  cfg.p = 0.3;
+  cfg.service = ServiceSpec::deterministic(3);
+  cfg.buffer_capacity = 2;
+  cfg.seed = 303;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, ConstantServiceCreditBuffers) {
+  NetworkConfig cfg = fast_config();
+  cfg.p = 0.4;
+  cfg.service = ServiceSpec::deterministic(2);
+  cfg.buffer_capacity = 2;
+  cfg.flow = FlowControl::kCredit;
+  cfg.credit_latency = 2;
+  cfg.seed = 202;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, TelemetryWithConstantService) {
+  // Telemetry alone (no histograms or correlations) selects the
+  // telemetry instrument policy; utilization samples must see the
+  // wheel-tracked busy periods exactly as the full sweep does.
+  NetworkConfig cfg = fast_config();
+  cfg.p = 0.2;
+  cfg.service = ServiceSpec::deterministic(4);
+  cfg.obs.enabled = true;
+  cfg.obs.stride = 8;
+  cfg.obs.trace_points = 5;
+  cfg.seed = 404;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, EveryPolicyCombination) {
+  // One small config per (service, buffers, instruments) policy, so each
+  // compiled instantiation of the cycle loop meets the oracle.
+  const ServiceSpec services[] = {
+      ServiceSpec::deterministic(1), ServiceSpec::deterministic(3),
+      ServiceSpec::multi_size({{1, 0.5}, {4, 0.5}}),
+      ServiceSpec::geometric(0.4)};
+  struct Buffers {
+    unsigned capacity;
+    FlowControl flow;
+  };
+  const Buffers buffers[] = {{0, FlowControl::kCutThrough},
+                             {3, FlowControl::kCutThrough},
+                             {3, FlowControl::kStoreAndForward},
+                             {2, FlowControl::kCredit}};
+  std::uint64_t seed = 1;
+  for (const ServiceSpec& service : services)
+    for (const Buffers& b : buffers)
+      for (int instruments = 0; instruments < 3; ++instruments) {
+        NetworkConfig cfg = fast_config();
+        cfg.stages = 3;
+        cfg.total_checkpoints = {1, 3};
+        cfg.measure_cycles = 1'200;
+        cfg.service = service;
+        cfg.p = 0.7 / service.mean();
+        cfg.buffer_capacity = b.capacity;
+        cfg.flow = b.flow;
+        cfg.obs.enabled = instruments >= 1;
+        cfg.obs.stride = 4;
+        cfg.obs.trace_points = 4;
+        cfg.track_stage_histograms = instruments == 2;
+        cfg.track_correlations = instruments == 2;
+        cfg.seed = seed++;
+        SCOPED_TRACE("seed " + std::to_string(cfg.seed));
+        expect_bit_identical(cfg);
+      }
 }
 
 }  // namespace

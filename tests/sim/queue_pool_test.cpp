@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rng/xoshiro.hpp"
@@ -144,6 +145,73 @@ TEST(ActiveSet, ClearOccupiedRemovesCandidate) {
   set.mark_occupied(6);
   set.clear_occupied(6);
   EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{1}));
+}
+
+TEST(ActiveSet, WheelReleasesAtTheExactCycle) {
+  // Span 4: a busy period of d <= 4 cycles lives in slot (t + d) mod 4
+  // and must be released by expire(t + d), not a cycle earlier or later.
+  for (std::int64_t d = 1; d <= 4; ++d) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    ActiveSet set(70, 4);
+    set.mark_occupied(66);
+    for (std::int64_t t = 0; t < 5; ++t) set.expire(t);
+    set.mark_busy(66, 4 + d);
+    EXPECT_EQ(set.overflow_size(), 0u);
+    for (std::int64_t t = 5; t < 4 + d; ++t) {
+      set.expire(t);
+      EXPECT_TRUE(candidates(set).empty()) << "released early at " << t;
+    }
+    set.expire(4 + d);
+    EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{66}));
+  }
+}
+
+TEST(ActiveSet, ServiceLongerThanSpanTakesOverflow) {
+  ActiveSet set(8, ActiveSet::span_for(3));  // span 4
+  set.mark_occupied(1);
+  set.mark_occupied(2);
+  set.expire(0);
+  set.mark_busy(1, 3);   // 3 cycles: wheel
+  set.mark_busy(2, 10);  // 10 cycles: longer than the span
+  EXPECT_EQ(set.overflow_size(), 1u);
+  for (std::int64_t t = 1; t < 10; ++t) {
+    set.expire(t);
+    // Port 2's slot (10 mod 4 == 2) is passed at t = 2 and t = 6; only
+    // the overflow heap may release it, at t = 10.
+    EXPECT_EQ(candidates(set), t < 3 ? std::vector<std::uint32_t>{}
+                                     : std::vector<std::uint32_t>{1});
+  }
+  set.expire(10);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(set.overflow_size(), 0u);
+}
+
+TEST(ActiveSet, ExpireCatchesUpAfterSkippedCycles) {
+  ActiveSet set(128, 8);
+  set.mark_occupied(3);
+  set.mark_occupied(100);
+  set.expire(0);
+  set.mark_busy(3, 5);
+  set.mark_busy(100, 8);
+  set.expire(6);  // cycles 1..5 skipped: port 3 released, 100 still busy
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3}));
+  set.mark_busy(3, 9);
+  set.expire(40);  // skips more than a whole revolution
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3, 100}));
+  // The wheel is clean afterwards: a new period still ends on time.
+  set.mark_busy(3, 42);
+  set.expire(41);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{100}));
+  set.expire(42);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3, 100}));
+}
+
+TEST(ActiveSet, SpanIsAPowerOfTwoCappedForLongServices) {
+  EXPECT_EQ(ActiveSet::span_for(1), 1u);
+  EXPECT_EQ(ActiveSet::span_for(4), 4u);
+  EXPECT_EQ(ActiveSet::span_for(5), 8u);
+  EXPECT_EQ(ActiveSet::span_for(100), ActiveSet::kMaxSpan);
+  EXPECT_EQ(ActiveSet::span_for(UINT32_MAX), ActiveSet::kMaxSpan);
 }
 
 }  // namespace

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include "rng/xoshiro.hpp"
+#include "rng/philox.hpp"
 #include "stats/accumulator.hpp"
 
 namespace ksw::sim {
 namespace {
 
+/// One long counter-mode draw sequence, as an engine would use per
+/// (cycle, port).
+rng::LaneSeq lanes(std::uint64_t seed) {
+  return rng::LaneSeq(rng::philox_key(seed), 0, 0, rng::Site::kService);
+}
+
 TEST(ServiceSpec, DeterministicSamplesConstant) {
   const auto spec = ServiceSpec::deterministic(4);
-  rng::Xoshiro256 gen(1);
+  rng::LaneSeq gen = lanes(1);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(spec.sample(gen), 4u);
   EXPECT_DOUBLE_EQ(spec.mean(), 4.0);
   EXPECT_FALSE(spec.is_unit());
@@ -21,7 +27,7 @@ TEST(ServiceSpec, DeterministicSamplesConstant) {
 TEST(ServiceSpec, MultiSizeFrequenciesMatch) {
   const auto spec = ServiceSpec::multi_size({{4, 0.25}, {8, 0.75}});
   EXPECT_DOUBLE_EQ(spec.mean(), 7.0);
-  rng::Xoshiro256 gen(2);
+  rng::LaneSeq gen = lanes(2);
   int fours = 0, eights = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
@@ -45,7 +51,7 @@ TEST(ServiceSpec, MultiSizeValidates) {
 TEST(ServiceSpec, GeometricMomentsMatch) {
   const auto spec = ServiceSpec::geometric(0.25);
   EXPECT_DOUBLE_EQ(spec.mean(), 4.0);
-  rng::Xoshiro256 gen(3);
+  rng::LaneSeq gen = lanes(3);
   stats::Accumulator acc;
   for (int i = 0; i < 200000; ++i)
     acc.add(static_cast<double>(spec.sample(gen)));
