@@ -1,39 +1,27 @@
-// kswsim fleet — sharded ksw.query/v1 serve fleet behind one TCP port.
+// kswsim fleet — the ksw.query/v1 service behind one TCP port.
 //
-//   kswsim fleet [--workers=N] [--tcp=HOST:PORT|PORT] [--socket-dir=DIR]
-//                [--queue-depth=D] [--deadline-ms=MS]
-//                [--threads=T] [--batch=B] [--cache-mb=MB]
-//                [--metrics-out=FILE|-] [--metrics-interval-ms=MS]
-//                [--access-log=FILE] [--trace-out=FILE]
-//                [--worker-binary=PATH]
+//   kswsim fleet [--workers=N] [--tcp=HOST:PORT|PORT] [--queue-depth=D]
+//                [--deadline-ms=MS] [--threads=T] [--batch=B]
+//                [--cache-mb=MB] [--metrics-out=FILE|-]
+//                [--metrics-interval-ms=MS] [--access-log=FILE]
+//                [--trace-out=FILE]
 //
-// One supervisor process accepts any number of concurrent TCP clients,
-// spawns N `kswsim serve --listen=<unix socket>` worker processes, and
-// routes each request to a worker by the FNV-1a hash of its canonical
-// cache key — so a repeated query always lands on the same worker's warm
-// cache and fleet responses are bit-identical to single-process serve.
-// `kswsim serve --fleet=N` is an alias. The per-worker queue is bounded
-// (--queue-depth); excess load is shed in-band with error.kind
-// "overload". Dead workers are restarted; a crash-looping worker takes
-// the fleet down with exit 8. See docs/OPERATIONS.md for the operator's
-// handbook and docs/SERVING.md for the protocol addendum.
-//
-// --threads/--batch/--cache-mb/--deadline-ms are forwarded to every
-// worker unchanged, so per-worker tuning is the same as single-process
-// tuning. --access-log and --trace-out observe the *supervisor* hop
-// (routing, queueing, relay); workers keep their own telemetry flags.
-#include <cerrno>
-#include <csignal>
-#include <cstring>
+// One process: a TCP listener in front of one serve::Service, serving any
+// number of concurrent clients (up to Service::kMaxConnections at once).
+// Every connection shares one thread pool of N x T threads and one
+// evaluation cache, sharded by the FNV-1a hash of each request's
+// canonical key, so a repeated query is a cache hit whichever connection
+// it arrives on and responses are bit-identical to `kswsim serve`. At
+// most N x D requests may be read but not yet answered; past that a
+// request is shed in-band with error.kind "overload". --cache-mb is per
+// worker (the cache holds N x MB). See docs/OPERATIONS.md for the
+// operator's handbook and docs/SERVING.md for the protocol addendum.
 #include <iostream>
 #include <optional>
 #include <ostream>
 #include <string>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "fleet/supervisor.hpp"
+#include "fleet/tcp.hpp"
 #include "io/atomic.hpp"
 #include "io/json.hpp"
 #include "kswsim/cli.hpp"
@@ -41,6 +29,7 @@
 #include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "par/cancel.hpp"
+#include "serve/service.hpp"
 #include "support/error.hpp"
 
 namespace ksw::cli {
@@ -56,74 +45,33 @@ std::int64_t get_count_fleet(const ArgMap& args, const std::string& key,
   return v;
 }
 
-/// Parse --tcp=HOST:PORT or --tcp=PORT (host defaults to 127.0.0.1;
-/// port 0 asks the kernel for an ephemeral port, announced on stderr).
-void parse_tcp(const std::string& text, std::string* host, int* port) {
-  std::string port_text = text;
-  const auto colon = text.rfind(':');
-  if (colon != std::string::npos) {
-    *host = text.substr(0, colon);
-    port_text = text.substr(colon + 1);
-    if (host->empty())
-      throw usage_error("--tcp: empty host in '" + text + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const int p = std::stoi(port_text, &used);
-    if (used != port_text.size() || p < 0 || p > 65535)
-      throw std::invalid_argument(port_text);
-    *port = p;
-  } catch (const std::exception&) {
-    throw usage_error("--tcp: bad port '" + port_text + "' in '" + text +
-                      "' (want HOST:PORT or PORT)");
-  }
-}
-
-void write_fleet_report(const std::string& path, const io::Json& report,
-                        std::ostream& out) {
-  const std::string body = report.to_string(2) + "\n";
-  if (path == "-")
-    out << body;
-  else
-    io::atomic_write_file(path, body);
-}
-
 }  // namespace
 
 int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  fleet::FleetOptions opts;
-  // `serve --fleet=N` spells the worker count via --fleet; `fleet`
-  // proper uses --workers. --workers wins when both are given.
-  const std::int64_t fleet_alias = get_count_fleet(args, "fleet", 4);
-  opts.workers =
-      static_cast<std::size_t>(get_count_fleet(args, "workers", fleet_alias));
-  if (opts.workers == 0)
-    throw usage_error("--workers: must be at least 1");
-  parse_tcp(args.get("tcp", "127.0.0.1:0"), &opts.host, &opts.port);
-  opts.queue_depth =
+  const auto workers =
+      static_cast<std::size_t>(get_count_fleet(args, "workers", 4));
+  if (workers == 0) throw usage_error("--workers: must be at least 1");
+  const fleet::Endpoint endpoint =
+      fleet::parse_endpoint(args.get("tcp", "127.0.0.1:0"));
+  const auto queue_depth =
       static_cast<std::size_t>(get_count_fleet(args, "queue-depth", 128));
-  if (opts.queue_depth == 0)
+  if (queue_depth == 0)
     throw usage_error("--queue-depth: must be at least 1");
+  const auto threads =
+      static_cast<std::size_t>(get_count_fleet(args, "threads", 1));
+  serve::ServeOptions opts;
+  opts.threads = workers * threads;  // 0 stays 0: hardware threads
+  opts.batch = static_cast<std::size_t>(get_count_fleet(args, "batch", 64));
+  if (opts.batch == 0) throw usage_error("--batch: must be at least 1");
+  opts.cache_mb = workers * static_cast<std::uint64_t>(
+                                get_count_fleet(args, "cache-mb", 64));
   opts.deadline_ms = get_count_fleet(args, "deadline-ms", 0);
-  opts.socket_dir = args.get("socket-dir", "");
-  opts.worker_binary = args.get("worker-binary", "");
+  opts.max_pending = workers * queue_depth;
   opts.access_log = args.get("access-log", "");
   const std::string metrics_out = args.get("metrics-out", "");
   const std::int64_t metrics_interval =
       get_count_fleet(args, "metrics-interval-ms", 0);
   const std::string trace_out = args.get("trace-out", "");
-
-  // Worker pass-through: same names, same defaults as `kswsim serve`.
-  const std::int64_t threads = get_count_fleet(args, "threads", 0);
-  const std::int64_t batch = get_count_fleet(args, "batch", 64);
-  const std::int64_t cache_mb = get_count_fleet(args, "cache-mb", 64);
-  if (batch == 0) throw usage_error("--batch: must be at least 1");
-  opts.worker_args = {"--threads=" + std::to_string(threads),
-                      "--batch=" + std::to_string(batch),
-                      "--cache-mb=" + std::to_string(cache_mb)};
-  if (opts.deadline_ms > 0)
-    opts.worker_args.push_back("--deadline-ms=" +
-                               std::to_string(opts.deadline_ms));
 
   const auto unknown = args.unused();
   if (!unknown.empty()) {
@@ -135,50 +83,49 @@ int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
         "--metrics-interval-ms: requires --metrics-out=FILE to write the "
         "periodic snapshots to");
 
-  // Default socket dir: a fresh per-process directory under TMPDIR, so
-  // two fleets on one host never collide. An explicit --socket-dir is
-  // the operator's responsibility (docs/OPERATIONS.md "Socket layout").
-  bool made_socket_dir = false;
-  if (opts.socket_dir.empty()) {
-    const char* tmp = ::getenv("TMPDIR");
-    std::string pattern = std::string(tmp != nullptr ? tmp : "/tmp") +
-                          "/kswsim-fleet-XXXXXX";
-    std::vector<char> buf(pattern.begin(), pattern.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr)
-      throw io_error(std::string("fleet: mkdtemp failed: ") +
-                     std::strerror(errno));
-    opts.socket_dir = buf.data();
-    made_socket_dir = true;
-  }
-
   obs::Tracer tracer;
   if (!trace_out.empty()) opts.tracer = &tracer;
-  const std::string socket_dir = opts.socket_dir;
 
-  fleet::FleetSummary summary;
-  io::Json final_report;
+  const serve::Listener listener = fleet::listen_tcp(endpoint);
+  serve::Service service(opts);
+  // The fleet's report is the service's, under its own command name and
+  // with the fleet-level configuration beside the service's.
+  const auto report = [&] {
+    io::Json doc = service.report();
+    doc.set("command", "fleet");
+    io::Json fleet = io::Json::object();
+    fleet.set("workers", static_cast<std::int64_t>(workers));
+    fleet.set("threads_per_worker", static_cast<std::int64_t>(threads));
+    fleet.set("queue_depth", static_cast<std::int64_t>(queue_depth));
+    fleet.set("host", endpoint.host);
+    fleet.set("port", static_cast<std::int64_t>(listener.port()));
+    doc.set("fleet", std::move(fleet));
+    return doc;
+  };
+  err << "fleet: " << workers << " workers x " << threads
+      << " threads, admission limit " << opts.max_pending
+      << " pending requests\n";
+  err << "fleet: listening on " << endpoint.host << ":" << listener.port()
+      << "\n";
+
+  serve::ServeSummary summary;
   {
-    fleet::Supervisor supervisor(std::move(opts));
-    supervisor.start(err);
-    const par::CancelToken* cancel = &par::global_cancel_token();
-    {
-      std::optional<MetricsTicker> ticker;
-      if (metrics_interval > 0)
-        ticker.emplace(
-            [&supervisor] {
-              return supervisor.report().to_string(2) + "\n";
-            },
-            metrics_out, metrics_interval, err, "fleet");
-      summary = supervisor.run(cancel, err);
-    }
-    final_report = supervisor.report();
+    std::optional<MetricsTicker> ticker;
+    if (metrics_interval > 0)
+      ticker.emplace([&report] { return report().to_string(2) + "\n"; },
+                     metrics_out, metrics_interval, err, "fleet");
+    summary = service.run_listen(listener, &par::global_cancel_token());
   }
-  if (made_socket_dir) ::rmdir(socket_dir.c_str());
 
   // Snapshots are written on every path — including interrupted — so an
   // operator who SIGTERMs the fleet still gets its final counters.
-  if (!metrics_out.empty()) write_fleet_report(metrics_out, final_report, out);
+  if (!metrics_out.empty()) {
+    const std::string body = report().to_string(2) + "\n";
+    if (metrics_out == "-")
+      out << body;
+    else
+      io::atomic_write_file(metrics_out, body);
+  }
   if (!trace_out.empty())
     io::atomic_write_file(
         trace_out,
@@ -188,7 +135,9 @@ int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
     throw interrupted_error("fleet: shutdown requested (" +
                             std::to_string(summary.responses) + " of " +
                             std::to_string(summary.requests) +
-                            " responses flushed)");
+                            " responses flushed, " +
+                            std::to_string(summary.connections) +
+                            " connections)");
   err << "fleet: " << summary.responses << " responses ("
       << summary.requests << " requests, " << summary.connections
       << " connections)\n";

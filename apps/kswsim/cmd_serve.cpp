@@ -5,9 +5,9 @@
 //                [--metrics-interval-ms=MS] [--access-log=FILE]
 //                [--trace-out=FILE]
 //
-// Reads JSONL requests from stdin (or accepts connections on a Unix
-// socket with --listen) and streams one JSONL response per request, in
-// request order. Requests that fail — unparseable line, unknown kernel,
+// Reads JSONL requests from stdin (or serves concurrent connections on a
+// Unix socket with --listen) and streams one JSONL response per request,
+// in request order on each connection. Requests that fail — unparseable line, unknown kernel,
 // bad parameters, missed deadline — answer in-band with error.kind
 // instead of terminating the process; only startup usage errors and
 // transport failures use the usual exit codes. See docs/SERVING.md.
@@ -68,10 +68,6 @@ void write_report(const std::string& path, const io::Json& report,
 }  // namespace
 
 int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  // `serve --fleet=N` is sugar for `fleet --workers=N` (docs/SERVING.md
-  // "Fleet protocol addendum"): one entry point, two process models.
-  if (args.has("fleet")) return cmd_fleet(args, out, err);
-
   serve::ServeOptions opts;
   opts.threads = static_cast<std::size_t>(get_count(args, "threads", 0));
   opts.batch = static_cast<std::size_t>(get_count(args, "batch", 64));

@@ -47,24 +47,24 @@ commands:
              --listen=SOCKET --threads=0 --batch=64 --cache-mb=64
              --deadline-ms=0 --metrics-out=FILE|-
              --metrics-interval-ms=0 --access-log=FILE --trace-out=FILE
-             (reads JSONL requests from stdin or a Unix socket, streams
-              one response per request; per-request failures answer
-              in-band via error.kind, not an exit code; repeated tuples
-              are served bit-identically from a memoized evaluation
-              cache; --access-log appends one JSONL row per request with
+             (reads JSONL requests from stdin, or serves concurrent
+              connections on a Unix socket; streams one response per
+              request; per-request failures answer in-band via
+              error.kind, not an exit code; repeated tuples are served
+              bit-identically from a memoized evaluation cache;
+              --access-log appends one JSONL row per request with
               trace_id, cache hit/miss, and queue/eval timing; see
               docs/SERVING.md)
-  fleet      sharded serve fleet: one TCP front end over N serve workers
-             --workers=4 --tcp=HOST:PORT|PORT --socket-dir=DIR
-             --queue-depth=128 --deadline-ms=0 --threads=0 --batch=64
-             --cache-mb=64 --metrics-out=FILE|- --metrics-interval-ms=0
-             --access-log=FILE --trace-out=FILE --worker-binary=PATH
-             (accepts concurrent TCP clients, routes each request to a
-              worker by its canonical cache key so responses stay
-              bit-identical to single-process serve; bounded per-worker
-              queues shed excess load in-band with error.kind
-              "overload"; dead workers restart automatically; `kswsim
-              serve --fleet=N` is an alias; see docs/OPERATIONS.md)
+  fleet      the same service behind one TCP port
+             --workers=4 --tcp=HOST:PORT|PORT --queue-depth=128
+             --deadline-ms=0 --threads=1 --batch=64 --cache-mb=64
+             --metrics-out=FILE|- --metrics-interval-ms=0
+             --access-log=FILE --trace-out=FILE
+             (one process serving concurrent TCP clients on a pool of
+              workers x threads threads and one cache of workers x
+              cache-mb, sharded by canonical key; at most workers x
+              queue-depth requests wait, further ones are shed in-band
+              with error.kind "overload"; see docs/OPERATIONS.md)
   trace      summarize / export ksw.trace/v1 span streams
              trace summarize --in=FILE --format=table|json|csv
              trace export --chrome --in=FILE --out=FILE|-
@@ -81,11 +81,10 @@ service specs: det:M (constant M cycles), geo:MU (geometric, mean 1/MU),
 
 exit codes: 0 ok, 1 internal error, 2 usage, 3 gate failure, 4 book
             drift, 5 I/O error, 6 numeric error, 7 degraded run,
-            8 fleet supervision failure, 130 interrupted (see
-            docs/ROBUSTNESS.md). `serve` and `fleet` map per-request
-            failures to in-band error.kind responses; their exit codes
-            reflect only startup/transport/shutdown state (see
-            docs/SERVING.md)
+            130 interrupted (see docs/ROBUSTNESS.md). `serve` and
+            `fleet` map per-request failures to in-band error.kind
+            responses; their exit codes reflect only startup/transport/
+            shutdown state (see docs/SERVING.md)
 
 environment: KSW_FAULTS=site[@N][:MS],... arms deterministic fault-
              injection sites (testing; see docs/ROBUSTNESS.md)

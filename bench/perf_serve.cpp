@@ -19,13 +19,11 @@
 // scripts/check_obs_overhead.sh can price it against the plain run.
 // Unless --no-gate, exits 3 when the cached/cold speedup falls below
 // 10x — the acceptance floor for the serving layer.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 
-#include "io/atomic.hpp"
+#include "bench_common.hpp"
 #include "io/json.hpp"
 #include "obs/span.hpp"
 #include "serve/service.hpp"
@@ -74,11 +72,9 @@ double run_once(const Options& opt, std::uint64_t cache_mb,
   ksw::serve::Service service(sopts);
   std::istringstream in(build_workload(opt));
   std::ostringstream sink;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = ksw::bench::Clock::now();
   *summary = service.run(in, sink, nullptr);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double wall = ksw::bench::seconds_since(start);
   const auto& hists = service.registry().histograms();
   if (const auto it = hists.find("serve.service_us"); it != hists.end()) {
     latency->p50 = it->second->quantile(0.5);
@@ -98,16 +94,14 @@ int main(int argc, char** argv) {
       opt.requests = 300;
     } else if (arg == "--no-gate") {
       opt.gate = false;
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = static_cast<std::size_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--tuples=", 0) == 0) {
-      opt.tuples = static_cast<std::size_t>(std::stoul(arg.substr(9)));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = static_cast<std::size_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out_path = arg.substr(6);
-    } else if (arg.rfind("--access-log=", 0) == 0) {
-      opt.access_log = arg.substr(13);
+    } else if (ksw::bench::size_flag(arg, "--requests", &opt.requests) ||
+               ksw::bench::size_flag(arg, "--tuples", &opt.tuples) ||
+               ksw::bench::size_flag(arg, "--threads", &opt.threads)) {
+    } else if (const auto out = ksw::bench::flag_value(arg, "--out")) {
+      opt.out_path = *out;
+    } else if (const auto log = ksw::bench::flag_value(arg,
+                                                       "--access-log")) {
+      opt.access_log = *log;
     } else {
       std::fprintf(stderr,
                    "perf_serve: unknown option %s\n"
@@ -167,9 +161,7 @@ int main(int argc, char** argv) {
   j.set("cached_p50_us", cached_lat.p50);
   j.set("cached_p99_us", cached_lat.p99);
   j.set("cached_p999_us", cached_lat.p999);
-  std::printf("BENCH_serve.json %s\n", j.to_string(0).c_str());
-  if (!opt.out_path.empty())
-    ksw::io::atomic_write_file(opt.out_path, j.to_string(2) + "\n");
+  ksw::bench::emit_record("BENCH_serve.json", j, opt.out_path);
 
   if (opt.gate && !(speedup >= 10.0)) {
     std::fprintf(stderr,

@@ -1,5 +1,5 @@
 // Fleet throughput and brownout probe: drives a real `kswsim fleet`
-// subprocess over TCP and prices it against in-process single serve.
+// subprocess over TCP and prices it against the same service in-process.
 //
 //   perf_serve_fleet [--workers=N] [--requests=N] [--tuples=T]
 //                    [--queue-depth=D] [--brownout-seconds=S] [--quick]
@@ -7,24 +7,24 @@
 //
 // Three phases:
 //   1. baseline  — the perf_serve cached workload through an in-process
-//                  serve::Service (same tuples), for a comparable
-//                  single-process queries/sec figure.
+//                  serve::Service with the fleet's thread count (N
+//                  workers x 1 thread), parsed and rendered batch by
+//                  batch into a per-batch buffer, as a connection does.
 //   2. capacity  — the same workload over TCP through the fleet, with a
 //                  windowed closed loop (window < queue depth, so
 //                  admission control never sheds); the warm pass is also
-//                  checked byte-for-byte against single-process serve.
+//                  checked byte-for-byte against the in-process service.
 //   3. brownout  — an open-loop Poisson arrival process at 2x the
 //                  measured fleet capacity. The gate is shed-not-
 //                  collapse: every request answered, some answered with
 //                  error.kind "overload", and the p99 latency of the
 //                  *served* requests stays bounded.
 //
-// Gates are locally scaled (ISSUE: CI machines range from 1 to many
-// cores): scale = min(workers, hardware threads). With scale >= 2 the
-// fleet must reach 0.5 * scale * baseline (=> >= 4x at 8 workers on
-// 8+ cores); on a single core it must stay above an IPC-tax floor of
-// 0.15 * baseline, since every request adds two socket hops but zero
-// parallelism. Emits one "BENCH_serve_fleet.json" line (and --out).
+// The capacity gate is the same-run ratio fleet / in-process q/s, which
+// prices what the TCP front end costs (socket hops, the reader thread,
+// the client sharing the cores) on any core count; kFleetRatioFloor
+// documents the measurements behind the floor. Emits one
+// "BENCH_serve_fleet.json" line (and --out).
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -48,13 +48,21 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "io/atomic.hpp"
+#include "bench_common.hpp"
 #include "io/json.hpp"
 #include "serve/service.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using ksw::bench::Clock;
+using ksw::bench::seconds_since;
+
+/// Floor for fleet / in-process cached q/s in the same run. Measured on
+/// a 4-core Xeon (--quick): 0.98-1.21 on 4 cores and 0.54-0.64 pinned to
+/// one core (taskset -c 0), where the client and the fleet's reader share
+/// the core the in-process run has to itself. The floor sits 25% below
+/// the lowest measurement.
+constexpr double kFleetRatioFloor = 0.40;
 
 struct Options {
   std::size_t workers = 4;
@@ -209,7 +217,7 @@ double closed_loop(int fd, const std::vector<std::string>& requests,
       received++;
     }
   }
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return seconds_since(start);
 }
 
 struct BrownoutResult {
@@ -313,18 +321,31 @@ bool brownout(int fd, double qps, double seconds, std::size_t tuples,
   result->offered = sent.load();
   result->answered = answered;
 
-  if (!latency_ms.empty()) {
-    std::sort(latency_ms.begin(), latency_ms.end());
-    const auto q = [&](double p) {
-      const auto idx = static_cast<std::size_t>(
-          p * static_cast<double>(latency_ms.size() - 1));
-      return latency_ms[idx];
-    };
-    result->p50_ms = q(0.5);
-    result->p99_ms = q(0.99);
-    result->p999_ms = q(0.999);
-  }
+  result->p50_ms = ksw::bench::quantile(latency_ms, 0.5);
+  result->p99_ms = ksw::bench::quantile(latency_ms, 0.99);
+  result->p999_ms = ksw::bench::quantile(latency_ms, 0.999);
   return writer_ok.load();
+}
+
+/// One in-process pass over `lines`, batch by batch as a connection
+/// serves them: parse, evaluate, render into a per-batch buffer. Returns
+/// the wall seconds; the rendered batches land in `*out`.
+double serve_pass(ksw::serve::Service& service,
+                  const std::vector<std::string>& lines,
+                  std::vector<std::string>* out) {
+  out->clear();
+  const std::size_t batch = service.options().batch;
+  const auto start = Clock::now();
+  for (std::size_t first = 0; first < lines.size(); first += batch) {
+    std::vector<ksw::serve::Request> requests;
+    const std::size_t end = std::min(lines.size(), first + batch);
+    for (std::size_t i = first; i < end; ++i)
+      requests.push_back(ksw::serve::Request::parse(lines[i]));
+    std::string rendered;
+    service.serve_batch(std::move(requests), &rendered, nullptr);
+    out->push_back(std::move(rendered));
+  }
+  return seconds_since(start);
 }
 
 }  // namespace
@@ -338,20 +359,18 @@ int main(int argc, char** argv) {
       opt.brownout_seconds = 1.0;
     } else if (arg == "--no-gate") {
       opt.gate = false;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = static_cast<std::size_t>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = static_cast<std::size_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--tuples=", 0) == 0) {
-      opt.tuples = static_cast<std::size_t>(std::stoul(arg.substr(9)));
-    } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      opt.queue_depth = static_cast<std::size_t>(std::stoul(arg.substr(14)));
-    } else if (arg.rfind("--brownout-seconds=", 0) == 0) {
-      opt.brownout_seconds = std::stod(arg.substr(19));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out_path = arg.substr(6);
-    } else if (arg.rfind("--kswsim=", 0) == 0) {
-      opt.kswsim = arg.substr(9);
+    } else if (ksw::bench::size_flag(arg, "--workers", &opt.workers) ||
+               ksw::bench::size_flag(arg, "--requests", &opt.requests) ||
+               ksw::bench::size_flag(arg, "--tuples", &opt.tuples) ||
+               ksw::bench::size_flag(arg, "--queue-depth",
+                                     &opt.queue_depth)) {
+    } else if (const auto secs = ksw::bench::flag_value(
+                   arg, "--brownout-seconds")) {
+      opt.brownout_seconds = std::stod(*secs);
+    } else if (const auto out = ksw::bench::flag_value(arg, "--out")) {
+      opt.out_path = *out;
+    } else if (const auto bin = ksw::bench::flag_value(arg, "--kswsim")) {
+      opt.kswsim = *bin;
     } else {
       std::fprintf(stderr,
                    "perf_serve_fleet: unknown option %s\n"
@@ -373,24 +392,21 @@ int main(int argc, char** argv) {
   const std::string workload = build_workload(opt.requests, opt.tuples);
   const std::vector<std::string> request_lines = split_lines(workload);
 
-  // Phase 1: single-process cached baseline (two passes; measure warm).
+  // Phase 1: in-process cached baseline on the fleet's thread count (two
+  // passes; measure warm).
   double baseline_qps = 0.0;
   std::vector<std::string> single_warm;
   {
-    ksw::serve::Service service(ksw::serve::ServeOptions{});
-    {
-      std::istringstream in(workload);
-      std::ostringstream sink;
-      service.run(in, sink, nullptr);  // warm the cache
-    }
-    std::istringstream in(workload);
-    std::ostringstream out;
-    const auto start = Clock::now();
-    service.run(in, out, nullptr);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    ksw::serve::ServeOptions sopts;
+    sopts.threads = opt.workers;  // the fleet runs --threads=1 per worker
+    ksw::serve::Service service(sopts);
+    std::vector<std::string> batches;
+    (void)serve_pass(service, request_lines, &batches);  // warm the cache
+    const double wall = serve_pass(service, request_lines, &batches);
     baseline_qps = static_cast<double>(opt.requests) / wall;
-    single_warm = split_lines(out.str());
+    std::string joined;
+    for (const std::string& b : batches) joined += b;
+    single_warm = split_lines(joined);
   }
 
   // Phase 2: fleet capacity over TCP (warm pass measured), plus the
@@ -439,20 +455,16 @@ int main(int argc, char** argv) {
   ::close(bfd);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t scale =
-      std::min<std::size_t>(opt.workers, static_cast<std::size_t>(hw));
-  const double multi_core_floor =
-      0.5 * static_cast<double>(scale) * baseline_qps;
-  const double single_core_floor = 0.15 * baseline_qps;
-  const double floor_qps = scale >= 2 ? multi_core_floor : single_core_floor;
+  const double ratio = fleet_qps / baseline_qps;
 
   std::printf("fleet throughput (%zu workers, %zu requests over %zu tuples, "
               "%u hw threads):\n",
               opt.workers, opt.requests, opt.tuples, hw);
-  std::printf("  single-process cached  %.3e queries/sec\n", baseline_qps);
+  std::printf("  in-process cached      %.3e queries/sec  (%zu threads)\n",
+              baseline_qps, opt.workers);
   std::printf("  fleet cached (TCP)     %.3e queries/sec  (%.2fx, floor "
-              "%.3e)\n",
-              fleet_qps, fleet_qps / baseline_qps, floor_qps);
+              "%.2fx)\n",
+              fleet_qps, ratio, kFleetRatioFloor);
   std::printf("  bit-identity           %zu mismatched of %zu responses\n",
               mismatches, opt.requests);
   std::printf("brownout at 2x capacity (%.3e qps offered for %.1f s):\n",
@@ -470,11 +482,10 @@ int main(int argc, char** argv) {
   j.set("tuples", static_cast<std::uint64_t>(opt.tuples));
   j.set("queue_depth", static_cast<std::uint64_t>(opt.queue_depth));
   j.set("hw_threads", static_cast<std::uint64_t>(hw));
-  j.set("scale", static_cast<std::uint64_t>(scale));
   j.set("qps_single_cached", baseline_qps);
   j.set("qps_fleet_cached", fleet_qps);
-  j.set("fleet_vs_single", fleet_qps / baseline_qps);
-  j.set("gate_floor_qps", floor_qps);
+  j.set("fleet_vs_single", ratio);
+  j.set("gate_floor_ratio", kFleetRatioFloor);
   j.set("bit_identical", mismatches == 0);
   j.set("mismatches", static_cast<std::uint64_t>(mismatches));
   j.set("brownout_offered_qps", brownout_qps);
@@ -488,9 +499,7 @@ int main(int argc, char** argv) {
   j.set("brownout_p50_ms", br.p50_ms);
   j.set("brownout_p99_ms", br.p99_ms);
   j.set("brownout_p999_ms", br.p999_ms);
-  std::printf("BENCH_serve_fleet.json %s\n", j.to_string(0).c_str());
-  if (!opt.out_path.empty())
-    ksw::io::atomic_write_file(opt.out_path, j.to_string(2) + "\n");
+  ksw::bench::emit_record("BENCH_serve_fleet.json", j, opt.out_path);
 
   if (!opt.gate) return 0;
   bool failed = false;
@@ -501,11 +510,11 @@ int main(int argc, char** argv) {
                  mismatches);
     failed = true;
   }
-  if (!(fleet_qps >= floor_qps)) {
+  if (!(ratio >= kFleetRatioFloor)) {
     std::fprintf(stderr,
-                 "perf_serve_fleet: GATE FAILED: fleet %.3e qps < floor "
-                 "%.3e qps (scale %zu)\n",
-                 fleet_qps, floor_qps, scale);
+                 "perf_serve_fleet: GATE FAILED: fleet %.3e qps is %.2fx "
+                 "the in-process service, below the %.2fx floor\n",
+                 fleet_qps, ratio, kFleetRatioFloor);
     failed = true;
   }
   if (!brownout_ok || br.answered < br.offered) {

@@ -23,7 +23,6 @@
 //                     and docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/first_stage.hpp"
 #include "core/total_delay.hpp"
 #include "io/json.hpp"
@@ -125,12 +125,9 @@ ProbeResult run_probe(ksw::sim::NetworkConfig cfg, int repeats) {
   ProbeResult best;
   for (int rep = 0; rep < repeats; ++rep) {
     cfg.seed = static_cast<std::uint64_t>(rep) + 1;
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = ksw::bench::Clock::now();
     const ksw::sim::NetworkResults r = ksw::sim::run_network(cfg);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const double wall = ksw::bench::seconds_since(start);
     if (rep == 0 || wall < best.wall_s) {
       best.wall_s = wall;
       best.cycles = cfg.warmup_cycles + cfg.measure_cycles;
@@ -268,7 +265,7 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
     j.set("warmup_s", r.warmup_s);
     j.set("measure_s", r.measure_s);
   }
-  std::printf("BENCH_perf.json %s\n", j.to_string(0).c_str());
+  ksw::bench::emit_record("BENCH_perf.json", j);
 }
 
 }  // namespace
@@ -289,8 +286,9 @@ int main(int argc, char** argv) {
       obs_enabled = false;
     } else if (std::strcmp(argv[i], "--gate") == 0) {
       gate = true;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
+    } else if (const auto path =
+                   ksw::bench::flag_value(argv[i], "--baseline")) {
+      baseline_path = *path;
     } else {
       passthrough.push_back(argv[i]);
     }

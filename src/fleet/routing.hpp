@@ -1,18 +1,15 @@
-// Shard routing for the serve fleet: canonical cache key -> worker.
+// Shard routing by canonical cache key.
 //
-// The supervisor routes every valid ksw.query/v1 request by the FNV-1a
-// hash of its *canonical* request string — the same identity the
-// evaluation cache uses (serve/query.hpp). Two requests that share a
-// cache entry therefore always land on the same worker, so each shard's
-// LRU stays hot and a repeated tuple is a cache hit no matter which TCP
-// connection it arrived on. Because every kernel is a pure function of
-// the canonical tuple, re-routing around a dead worker changes *where*
-// a request is evaluated but never *what* bytes come back.
+// A valid ksw.query/v1 request is identified by the FNV-1a hash of its
+// *canonical* request string — the same identity the evaluation cache
+// uses (serve/query.hpp), whose shards are picked by this very hash. Two
+// requests that share a cache entry therefore always land on the same
+// shard, so each shard's LRU stays hot and a repeated tuple is a cache
+// hit no matter which TCP connection it arrived on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "serve/query.hpp"
 
@@ -22,15 +19,8 @@ namespace ksw::fleet {
 /// Pure — identical across processes, runs, and architectures.
 [[nodiscard]] std::uint64_t shard_hash(const serve::Query& query);
 
-/// Primary worker for a hash: `hash % workers`. `workers` must be >= 1.
+/// Shard for a hash: `hash % shards`. `shards` must be >= 1.
 [[nodiscard]] std::size_t route(std::uint64_t hash,
-                                std::size_t workers) noexcept;
-
-/// Route honoring liveness: the primary worker when alive, else the
-/// first alive worker scanning upward from it (wrap-around) — a
-/// deterministic interim assignment while the primary restarts. Returns
-/// `workers` (an invalid index) when no worker is alive.
-[[nodiscard]] std::size_t route_alive(std::uint64_t hash,
-                                      const std::vector<bool>& alive) noexcept;
+                                std::size_t shards) noexcept;
 
 }  // namespace ksw::fleet

@@ -67,11 +67,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -81,18 +76,37 @@ void ThreadPool::worker_loop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard lock(mu_);
-      --in_flight_;
-      if (tasks_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 namespace {
+
+/// Counts one parallel_for* call's pool tasks down to zero. The tasks
+/// reference the caller's stack, so the call returns only once every one
+/// of them has finished, not merely once every index has run.
+class TaskLatch {
+ public:
+  explicit TaskLatch(std::size_t count) : left_(count) {}
+
+  void count_down() {
+    // Notify under the lock: the waiter may destroy the latch as soon as
+    // it observes zero.
+    std::lock_guard lock(mu_);
+    if (--left_ == 0) cv_.notify_all();
+  }
+
+  void wait() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return left_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t left_;
+};
 
 /// Shared abort state for one parallel_for* call: the first error wins,
 /// and its presence (or an external cancellation request) makes every
@@ -135,21 +149,23 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   // One pool task per worker, each draining indices from a shared counter —
   // cheap dynamic load balancing without per-index task overhead.
   const std::size_t lanes = std::min(count, pool.thread_count());
+  TaskLatch done(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     pool.submit([&] {
       for (;;) {
-        if (abort.should_skip()) return;
+        if (abort.should_skip()) break;
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
+        if (i >= count) break;
         try {
           body(i);
         } catch (...) {
           abort.record(std::current_exception());
         }
       }
+      done.count_down();
     });
   }
-  pool.wait_idle();
+  done.wait();
   abort.finish();
 }
 
@@ -160,6 +176,7 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t count,
   AbortState abort;
   abort.cancel = cancel;
   const std::size_t chunks = std::min(count, pool.thread_count());
+  TaskLatch done(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     // Balanced split: chunk c covers [count*c/chunks, count*(c+1)/chunks),
     // so sizes differ by at most one.
@@ -167,16 +184,17 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t count,
     const std::size_t end = count * (c + 1) / chunks;
     pool.submit([&, begin, end] {
       for (std::size_t i = begin; i < end; ++i) {
-        if (abort.should_skip()) return;
+        if (abort.should_skip()) break;
         try {
           body(i);
         } catch (...) {
           abort.record(std::current_exception());
         }
       }
+      done.count_down();
     });
   }
-  pool.wait_idle();
+  done.wait();
   abort.finish();
 }
 

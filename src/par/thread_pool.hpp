@@ -34,18 +34,17 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Enqueue a task; it will run on some worker.
+  /// Enqueue a task; it will run on some worker. Tasks still queued when
+  /// the pool is destroyed run before the workers exit.
   void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished.
-  void wait_idle();
 
   /// Attach a metrics registry; subsequent tasks record queue wait time
   /// ("pool.task_wait"), execution time ("pool.task_run"), a task counter
   /// ("pool.tasks"), and a "pool.workers" gauge. Pass nullptr to detach.
-  /// Call only while the pool is idle; the registry must outlive the last
-  /// task submitted while attached. No-op when observability is compiled
-  /// out (KSW_OBS_ENABLED=0).
+  /// Call only while the pool is idle; the registry must outlive the
+  /// pool, since a task's timings land just after its parallel_for call
+  /// returns (read them once the pool is destroyed). No-op when
+  /// observability is compiled out (KSW_OBS_ENABLED=0).
   void attach_metrics(obs::Registry* registry);
 
  private:
@@ -59,14 +58,15 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 
 /// Run body(i) for i in [0, count) across the pool; blocks until all done.
 /// Indices are drained dynamically from a shared counter (good load
-/// balancing for uneven task costs).
+/// balancing for uneven task costs). The call waits for its own tasks
+/// only, so concurrent callers sharing one pool (two serve connections'
+/// batches) each return as soon as their work is done, however busy the
+/// pool stays with the other's.
 ///
 /// Failure semantics: the first exception thrown by any body is recorded
 /// and rethrown after the call drains; once an error is recorded (or

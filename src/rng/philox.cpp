@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "rng/xoshiro.hpp"
+#include "rng/splitmix.hpp"
 
 namespace ksw::rng {
 

@@ -2,8 +2,8 @@
 //
 // Philox4x32-10 (Salmon, Moraes, Dror, Shaw — "Parallel Random Numbers:
 // As Easy as 1, 2, 3", SC'11): a bijective keyed permutation of a 128-bit
-// counter producing four 32-bit words per block. Unlike the stateful
-// xoshiro streams, a draw is a pure function
+// counter producing four 32-bit words per block. Unlike a stateful
+// generator stream, a draw is a pure function
 //
 //   (key, counter) -> 4 x uint32
 //

@@ -27,10 +27,36 @@ std::optional<std::string> EvalCache::lookup(std::uint64_t hash,
   return it->second->value;
 }
 
+std::optional<std::string> EvalCache::lookup_or_claim(
+    std::uint64_t hash, const std::string& key) {
+  Shard& shard = shard_for(hash);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  while (true) {
+    const auto it = per_shard_ == 0 ? shard.index.end() : shard.index.find(key);
+    if (it != shard.index.end()) {
+      ++shard.hits;
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      return it->second->value;
+    }
+    if (per_shard_ == 0 || shard.claimed.insert(key).second) {
+      ++shard.misses;
+      return std::nullopt;
+    }
+    shard.released.wait(lock);
+  }
+}
+
+void EvalCache::abandon(std::uint64_t hash, const std::string& key) {
+  Shard& shard = shard_for(hash);
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.claimed.erase(key) != 0) shard.released.notify_all();
+}
+
 void EvalCache::insert(std::uint64_t hash, const std::string& key,
                        std::string value) {
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.claimed.erase(key) != 0) shard.released.notify_all();
   if (per_shard_ == 0) return;
   if (shard.index.count(key) != 0) return;  // concurrent duplicate compute
   Entry entry{key, std::move(value)};

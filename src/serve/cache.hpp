@@ -13,12 +13,14 @@
 // hit returns *bit-identical* output to the evaluation it replaced.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace ksw::serve {
@@ -54,8 +56,21 @@ class EvalCache {
   [[nodiscard]] std::optional<std::string> lookup(std::uint64_t hash,
                                                   const std::string& key);
 
-  /// Insert (hash, key) -> value, evicting LRU entries as needed. If the
-  /// key is already present (a concurrent batch computed it twice) the
+  /// Single-flight lookup: a hit returns the value; on a miss the caller
+  /// claims the key and gets nullopt, and must then insert() or
+  /// abandon() it. A caller that finds the key claimed by another waits
+  /// for that evaluation and looks again, so concurrent batches (two
+  /// connections asking for the same tuple) evaluate it once and the
+  /// later one is served cached. With the cache disabled nothing is
+  /// claimed and every call misses.
+  [[nodiscard]] std::optional<std::string> lookup_or_claim(
+      std::uint64_t hash, const std::string& key);
+
+  /// Give up a claim without a value (the evaluation failed).
+  void abandon(std::uint64_t hash, const std::string& key);
+
+  /// Insert (hash, key) -> value, evicting LRU entries as needed, and
+  /// release any claim on the key. If the key is already present the
   /// existing entry is kept — both computations produced the same bytes.
   /// An entry larger than the whole shard budget is not admitted.
   void insert(std::uint64_t hash, const std::string& key,
@@ -77,6 +92,8 @@ class EvalCache {
     mutable std::mutex mu;
     std::list<Entry> lru;  ///< front = most recent
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    std::unordered_set<std::string> claimed;  ///< keys being evaluated
+    std::condition_variable released;         ///< a claim went away
     std::uint64_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -1,15 +1,24 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <istream>
+#include <iterator>
+#include <list>
 #include <ostream>
 #include <string_view>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -27,6 +36,14 @@ using Clock = std::chrono::steady_clock;
 
 /// How long a blocked poll() sleeps between cancellation checks.
 constexpr int kPollMs = 200;
+
+/// Shed requests a connection's reader may queue beyond its admitted ones
+/// before it pauses: bounds the memory of a peer that stops reading.
+constexpr std::size_t kShedBacklog = 4096;
+
+/// After cancellation, how long run_listen lets its connections answer
+/// what they read before it shuts their sockets down.
+constexpr auto kDrainBudget = std::chrono::seconds(5);
 
 double micros_since(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
@@ -170,7 +187,10 @@ Service::Service(ServeOptions opts)
   errors_ = &registry_.counter("serve.responses.error");
   hits_ = &registry_.counter("serve.cache.hits");
   misses_ = &registry_.counter("serve.cache.misses");
+  shed_ = &registry_.counter("serve.shed.overload");
+  connections_ = &registry_.counter("serve.connections");
   queue_depth_ = &registry_.gauge("serve.queue_depth");
+  pending_peak_ = &registry_.gauge("serve.pending_peak");
   // 25 us resolution out to 10 ms; slower evaluations land in the
   // overflow tally and the quantiles report the upper edge.
   service_us_ = &registry_.histogram("serve.service_us", 0.0, 25.0, 400);
@@ -278,13 +298,14 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       const std::string& key = keys[i];
       const std::uint64_t hash = fnv1a64(key);
       shard = static_cast<int>(hash % cache_.shard_count());
-      if (auto hit = cache_.lookup(hash, key)) {
+      if (auto hit = cache_.lookup_or_claim(hash, key)) {
         hits_->inc();
         cached = true;
         responses[i] =
             render_ok(req.id, req.query.kernel, true, *hit, req.trace_id);
         succeeded[i] = 1;
       } else {
+        // This request holds the key's claim: insert() or abandon() it.
         misses_->inc();
         try {
           std::string bytes = evaluate_bytes(req.query);
@@ -293,6 +314,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
           cache_.insert(hash, key, std::move(bytes));
           succeeded[i] = 1;
         } catch (const std::exception& e) {
+          cache_.abandon(hash, key);
           error_kind = wire_kind(e);
           responses[i] =
               render_error(req.id, error_kind, e.what(), req.trace_id);
@@ -371,104 +393,271 @@ ServeSummary Service::run(std::istream& in, std::ostream& out,
   return summary;
 }
 
+namespace {
+
+/// One connection's hand-off from its reader to its writer: parsed
+/// requests in arrival order.
+struct Inbox {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Request> queue;
+  bool closed = false;  ///< the reader is done: drain, then stop
+  bool dead = false;    ///< the writer cannot answer any more (peer gone)
+};
+
+}  // namespace
+
+bool Service::admit() noexcept {
+  std::size_t held = pending_.load(std::memory_order_relaxed);
+  do {
+    if (opts_.max_pending != 0 && held >= opts_.max_pending) return false;
+  } while (!pending_.compare_exchange_weak(held, held + 1,
+                                           std::memory_order_relaxed));
+  pending_peak_->record_max(static_cast<double>(held + 1));
+  return true;
+}
+
 ServeSummary Service::run_fd(int in_fd, int out_fd,
                              const par::CancelToken* cancel) {
   ServeSummary summary;
-  FdLineReader reader(in_fd);
-  std::string line;
-  while (true) {
-    // Block (cancellably) for the first request of a batch, then drain
-    // whatever further lines are instantly available up to the batch
-    // cap — natural batching under load, low latency when idle.
-    std::vector<Request> batch;
-    auto status = reader.next_line(&line, cancel, /*wait=*/true);
-    if (status == FdLineReader::Status::kCancelled) {
-      summary.interrupted = true;
-      break;
+  Inbox inbox;
+  // Without a service-wide cap the reader stays at most two batches ahead
+  // of its writer; with one, it keeps reading (and shedding) so overload
+  // is answered in-band rather than pushed back onto the peer.
+  const std::size_t backlog = opts_.max_pending == 0
+                                  ? 2 * opts_.batch
+                                  : opts_.max_pending + kShedBacklog;
+  std::exception_ptr reader_error, writer_error;
+  // Requests that will never reach the writer give their slots back.
+  const auto release = [this](const std::vector<Request>& requests) {
+    for (const Request& r : requests)
+      if (r.error_kind != wire::kOverload)
+        pending_.fetch_sub(1, std::memory_order_relaxed);
+  };
+
+  std::thread writer([&] {
+    bool answering = true;
+    while (true) {
+      std::vector<Request> batch;
+      {
+        std::unique_lock lock(inbox.mu);
+        inbox.cv.wait(lock,
+                      [&] { return !inbox.queue.empty() || inbox.closed; });
+        if (inbox.queue.empty()) return;
+        const auto take = static_cast<std::ptrdiff_t>(
+            std::min(inbox.queue.size(), opts_.batch));
+        batch.assign(std::make_move_iterator(inbox.queue.begin()),
+                     std::make_move_iterator(inbox.queue.begin() + take));
+        inbox.queue.erase(inbox.queue.begin(), inbox.queue.begin() + take);
+      }
+      inbox.cv.notify_all();
+      const auto admitted = static_cast<std::size_t>(
+          std::count_if(batch.begin(), batch.end(), [](const Request& r) {
+            return r.error_kind != wire::kOverload;
+          }));
+      const std::size_t size = batch.size();
+      if (answering) {
+        try {
+          std::string rendered;
+          serve_batch(std::move(batch), &rendered, cancel);
+          answering = write_all(out_fd, rendered);
+          if (answering) summary.responses += size;
+        } catch (...) {
+          writer_error = std::current_exception();
+          answering = false;
+        }
+        if (!answering) {
+          const std::lock_guard lock(inbox.mu);
+          inbox.dead = true;
+          inbox.cv.notify_all();
+        }
+      }
+      pending_.fetch_sub(admitted, std::memory_order_relaxed);
     }
-    if (status == FdLineReader::Status::kEof && reader.eof() &&
-        batch.empty()) {
-      break;
+  });
+
+  std::vector<Request> parsed;
+  try {
+    FdLineReader reader(in_fd);
+    std::string line;
+    bool reading = true;
+    while (reading) {
+      // Block (cancellably) for the first line, then take whatever
+      // further lines are instantly available up to the batch cap.
+      parsed.clear();
+      auto status = reader.next_line(&line, cancel, /*wait=*/true);
+      while (status == FdLineReader::Status::kLine) {
+        if (!line.empty()) {
+          Request req = Request::parse(line, opts_.deadline_ms);
+          if (!admit()) {
+            shed_->inc();
+            req.error_kind = wire::kOverload;
+            req.error_message =
+                "admission limit of " + std::to_string(opts_.max_pending) +
+                " pending requests reached; retry later";
+          }
+          parsed.push_back(std::move(req));
+        }
+        if (parsed.size() >= opts_.batch) break;
+        status = reader.next_line(&line, cancel, /*wait=*/false);
+      }
+      if (status == FdLineReader::Status::kCancelled) {
+        summary.interrupted = true;
+        reading = false;
+      } else if (reader.eof()) {
+        reading = false;
+      }
+      if (parsed.empty()) continue;
+      summary.requests += parsed.size();
+      std::unique_lock lock(inbox.mu);
+      inbox.cv.wait(lock, [&] {
+        return inbox.queue.size() < backlog || inbox.dead;
+      });
+      if (inbox.dead) break;  // nobody will answer these
+      for (Request& r : parsed) inbox.queue.push_back(std::move(r));
+      parsed.clear();
+      lock.unlock();
+      inbox.cv.notify_all();
     }
-    while (status == FdLineReader::Status::kLine) {
-      if (!line.empty())
-        batch.push_back(Request::parse(line, opts_.deadline_ms));
-      if (batch.size() >= opts_.batch) break;
-      status = reader.next_line(&line, cancel, /*wait=*/false);
-    }
-    if (status == FdLineReader::Status::kCancelled) summary.interrupted = true;
-    if (!batch.empty()) {
-      summary.requests += batch.size();
-      summary.responses += batch.size();
-      std::string rendered;
-      serve_batch(std::move(batch), &rendered, cancel);
-      if (!write_all(out_fd, rendered)) break;  // peer disconnected
-    }
-    if (summary.interrupted || (reader.eof())) break;
+  } catch (...) {
+    reader_error = std::current_exception();
   }
+  release(parsed);
+  {
+    const std::lock_guard lock(inbox.mu);
+    inbox.closed = true;
+  }
+  inbox.cv.notify_all();
+  writer.join();
+  if (reader_error) std::rethrow_exception(reader_error);
+  if (writer_error) std::rethrow_exception(writer_error);
   if (cancel != nullptr && cancel->requested()) summary.interrupted = true;
   return summary;
 }
 
-ServeSummary Service::run_listen(const std::string& socket_path,
-                                 const par::CancelToken* cancel) {
-  if (socket_path.size() >= sizeof(sockaddr_un::sun_path))
-    throw ksw::usage_error("--listen: socket path too long: " + socket_path);
-  // A peer that disconnects mid-response must not kill the server.
-  std::signal(SIGPIPE, SIG_IGN);
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0)
+Listener Listener::unix_socket(const std::string& path) {
+  if (path.size() >= sizeof(sockaddr_un::sun_path))
+    throw ksw::usage_error("--listen: socket path too long: " + path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                          0);
+  if (fd < 0)
     throw ksw::io_error(std::string("--listen: socket failed: ") +
                         std::strerror(errno));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(socket_path.c_str());  // stale socket from a previous run
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0 ||
-      ::listen(listen_fd, 8) < 0) {
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(path.c_str());  // stale socket from a previous run
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
+      ::listen(fd, 64) < 0) {
     const std::string reason = std::strerror(errno);
-    ::close(listen_fd);
-    throw ksw::io_error("--listen: cannot bind " + socket_path + ": " +
-                        reason);
+    ::close(fd);
+    throw ksw::io_error("--listen: cannot bind " + path + ": " + reason);
   }
+  return Listener(fd, path);
+}
 
-  ServeSummary summary;
-  while (true) {
-    if (cancel != nullptr && cancel->requested()) {
-      summary.interrupted = true;
-      break;
+Listener::Listener(Listener&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      unlink_path_(std::move(other.unlink_path_)) {
+  other.unlink_path_.clear();
+}
+
+Listener::~Listener() {
+  if (fd_ >= 0) ::close(fd_);
+  if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
+}
+
+int Listener::port() const noexcept {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+      addr.sin_family != AF_INET)
+    return 0;
+  return ntohs(addr.sin_port);
+}
+
+ServeSummary Service::run_listen(const std::string& socket_path,
+                                 const par::CancelToken* cancel) {
+  const Listener listener = Listener::unix_socket(socket_path);
+  return run_listen(listener, cancel);
+}
+
+ServeSummary Service::run_listen(const Listener& listener,
+                                 const par::CancelToken* cancel) {
+  // A peer that disconnects mid-response must not kill the server.
+  std::signal(SIGPIPE, SIG_IGN);
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};
+    ServeSummary summary;
+  };
+  std::list<Connection> live;
+  ServeSummary total;
+  std::string failure;
+  const auto reap = [&](bool all) {
+    for (auto it = live.begin(); it != live.end();) {
+      if (!all && !it->done.load()) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      ::close(it->fd);
+      total.requests += it->summary.requests;
+      total.responses += it->summary.responses;
+      it = live.erase(it);
+    }
+  };
+
+  while (cancel == nullptr || !cancel->requested()) {
+    reap(false);
+    if (live.size() >= kMaxConnections) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     struct pollfd pfd {};
-    pfd.fd = listen_fd;
+    pfd.fd = listener.fd();
     pfd.events = POLLIN;
     const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      const std::string reason = std::strerror(errno);
-      ::close(listen_fd);
-      ::unlink(socket_path.c_str());
-      throw ksw::io_error("--listen: poll failed: " + reason);
-    }
-    if (ready == 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      continue;  // transient accept failure; keep serving
-    }
-    const ServeSummary one = run_fd(conn, conn, cancel);
-    ::close(conn);
-    summary.requests += one.requests;
-    summary.responses += one.responses;
-    if (one.interrupted) {
-      summary.interrupted = true;
+    if (ready < 0 && errno != EINTR) {
+      failure = std::string("listen: poll failed: ") + std::strerror(errno);
       break;
     }
+    if (ready <= 0) continue;
+    const int fd = ::accept4(listener.fd(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) continue;  // transient accept failure; keep serving
+    // Responses leave in one write per batch; do not let Nagle hold the
+    // tail of one back (a no-op on Unix sockets).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    connections_->inc();
+    ++total.connections;
+    Connection& conn = live.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, &conn, cancel] {
+      try {
+        conn.summary = run_fd(conn.fd, conn.fd, cancel);
+      } catch (const std::exception&) {
+        // A transport failure ends this connection only.
+      }
+      conn.done.store(true);
+    });
   }
-  ::close(listen_fd);
-  ::unlink(socket_path.c_str());
-  return summary;
+
+  // Cancelled (or failed): every connection answers what it has read. A
+  // peer that stops reading has its socket shut down once the drain
+  // budget is spent, so its blocked writer returns.
+  const auto deadline = Clock::now() + kDrainBudget;
+  while (Clock::now() < deadline &&
+         std::any_of(live.begin(), live.end(),
+                     [](const Connection& c) { return !c.done.load(); }))
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  for (const Connection& c : live)
+    if (!c.done.load()) ::shutdown(c.fd, SHUT_RDWR);
+  reap(true);
+  if (!failure.empty()) throw ksw::io_error(failure);
+  total.interrupted = true;
+  return total;
 }
 
 io::Json Service::report(bool include_wall) const {
@@ -482,6 +671,7 @@ io::Json Service::report(bool include_wall) const {
   config.set("cache_mb", static_cast<std::int64_t>(opts_.cache_mb));
   config.set("deadline_ms", opts_.deadline_ms);
   config.set("access_log", !opts_.access_log.empty());
+  config.set("max_pending", static_cast<std::int64_t>(opts_.max_pending));
   doc.set("config", std::move(config));
 
   {

@@ -1,11 +1,23 @@
-// The long-lived analytic query service behind `kswsim serve`.
+// The long-lived analytic query service behind `kswsim serve` and
+// `kswsim fleet`.
 //
 // The service reads ksw.query/v1 JSONL requests (stdin, an arbitrary
-// stream, or a Unix socket), batches them, dispatches each batch across
-// the par thread pool, and streams one JSONL response per request *in
-// request order* — so correlation works with or without ids. Every
-// kernel evaluation goes through the content-addressed EvalCache, so a
-// repeated tuple returns bit-identical bytes without recomputation.
+// stream, or sockets accepted by a Listener), batches them, dispatches
+// each batch across the par thread pool, and streams one JSONL response
+// per request *in request order* — so correlation works with or without
+// ids. Every kernel evaluation goes through the content-addressed
+// EvalCache, so a repeated tuple returns bit-identical bytes without
+// recomputation. The listener serves its connections concurrently, all
+// of them sharing one pool and one cache.
+//
+// Admission control (docs/OPERATIONS.md "Overload and brownout"): with
+// ServeOptions::max_pending set, at most that many requests may be read
+// but not yet answered across every connection. A request read past the
+// limit is answered in-band with error.kind "overload", in its
+// connection's request order, instead of being queued without bound — so
+// under sustained overload the service degrades to a bounded-latency
+// subset of the offered load rather than collapsing into unbounded
+// queueing (the heavy-tail lesson of PAPERS.md).
 //
 // Failure model (docs/ROBUSTNESS.md): a bad or rejected request never
 // terminates the process — it answers in-band with error.kind. Only
@@ -17,12 +29,14 @@
 // metrics snapshot.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
-
 #include <memory>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -45,14 +59,49 @@ struct ServeOptions {
   /// do not carry their own.
   std::string access_log;
   obs::Tracer* tracer = nullptr;
+  /// Service-wide cap on requests read but not yet answered; past it a
+  /// request is shed with error.kind "overload". 0 = no cap: a
+  /// connection's reader then waits for its writer instead (TCP
+  /// backpressure).
+  std::size_t max_pending = 0;
 };
 
 /// What a serve loop did; the CLI turns `interrupted` into exit 130
 /// after flushing the metrics snapshot.
 struct ServeSummary {
+  std::uint64_t connections = 0;
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
   bool interrupted = false;
+};
+
+/// A bound, listening stream socket: a Unix socket path here, TCP in
+/// fleet::listen_tcp. Closes the socket (and removes a Unix socket's
+/// path) on destruction.
+class Listener {
+ public:
+  /// Take ownership of a listening descriptor; `unlink_path` names a
+  /// Unix socket file to remove on destruction ("" = none).
+  explicit Listener(int fd, std::string unlink_path = {}) noexcept
+      : fd_(fd), unlink_path_(std::move(unlink_path)) {}
+  /// Bind and listen on a Unix stream socket at `path` (a stale socket
+  /// file is replaced). Throws kUsage for an over-long path, kIo when the
+  /// path cannot be bound.
+  [[nodiscard]] static Listener unix_socket(const std::string& path);
+
+  ~Listener();
+  Listener(Listener&& other) noexcept;
+  Listener& operator=(Listener&&) = delete;
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+  /// Bound TCP port (resolves a port-0 request); 0 for a Unix socket.
+  [[nodiscard]] int port() const noexcept;
+
+ private:
+  int fd_ = -1;
+  std::string unlink_path_;
 };
 
 class Service {
@@ -73,16 +122,26 @@ class Service {
 
   /// File-descriptor loop with a poll-based line reader, so a blocked
   /// read observes cancellation within ~200 ms (stdin under a pipe, or
-  /// one accepted socket connection). Responses are written to out_fd;
-  /// EPIPE on a socket peer aborts just that connection.
+  /// one accepted socket connection). The calling thread reads and
+  /// parses requests while a second thread evaluates and writes batches,
+  /// so the socket keeps draining during a batch — which is what lets
+  /// admission control see overload instead of TCP backpressure hiding
+  /// it. Responses are written to out_fd in request order; EPIPE on a
+  /// socket peer ends just that connection.
   ServeSummary run_fd(int in_fd, int out_fd, const par::CancelToken* cancel);
 
-  /// Unix-socket accept loop at `socket_path` (stale paths are
-  /// unlinked, the socket is unlinked again on exit). Connections are
-  /// served sequentially, each as a JSONL stream; the loop ends only on
-  /// cancellation.
+  /// Accept loop: serves every accepted connection concurrently (a
+  /// thread per connection running run_fd, at most kMaxConnections at a
+  /// time; further clients wait in the listen backlog). Ends only on
+  /// cancellation, after every connection has answered what it read.
+  ServeSummary run_listen(const Listener& listener,
+                          const par::CancelToken* cancel);
+  /// run_listen on a Unix socket bound at `socket_path`.
   ServeSummary run_listen(const std::string& socket_path,
                           const par::CancelToken* cancel);
+
+  /// Connections served at once by run_listen.
+  static constexpr std::size_t kMaxConnections = 64;
 
   /// Structured snapshot: serve counters/timers, cache stats,
   /// p50/p99/p999 service time. Schema "ksw.obs.report/v1", command
@@ -102,6 +161,9 @@ class Service {
   /// when request observability is on). Nondeterministic by design.
   [[nodiscard]] std::string generate_trace_id();
 
+  /// Take one admission slot; false when max_pending are taken.
+  [[nodiscard]] bool admit() noexcept;
+
   ServeOptions opts_;
   obs::Registry registry_;
   EvalCache cache_;
@@ -116,7 +178,12 @@ class Service {
   obs::Counter* errors_ = nullptr;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
+  obs::Counter* shed_ = nullptr;
+  obs::Counter* connections_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
+  obs::Gauge* pending_peak_ = nullptr;
+  /// Requests read but not yet answered, across every connection.
+  std::atomic<std::size_t> pending_{0};
   obs::Histogram* service_us_ = nullptr;
   obs::Histogram* queue_us_ = nullptr;
   obs::Timer* batch_wall_ = nullptr;

@@ -6,13 +6,26 @@
 
 #include <cmath>
 #include <memory>
+#include <random>
 
 #include "core/closed_forms.hpp"
 #include "core/first_stage.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace ksw::core {
 namespace {
+
+/// Seeded draws for the generated models.
+class Draws {
+ public:
+  explicit Draws(std::uint64_t seed) : gen_(seed) {}
+  /// Uniform double in [0, 1) with 53 random bits.
+  double uniform() { return static_cast<double>(gen_() >> 11) * 0x1.0p-53; }
+  /// Uniform integer in [0, n); the modulo bias is below 2^-60.
+  std::uint64_t uniform_int(std::uint64_t n) { return gen_() % n; }
+
+ private:
+  std::mt19937_64 gen_;
+};
 
 struct RandomQueue {
   QueueSpec spec;
@@ -26,7 +39,7 @@ struct RandomQueue {
 // probabilities and batch sizes, and a random service distribution,
 // rescaled so rho stays below 0.9.
 RandomQueue make_random_queue(std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
+  Draws gen(seed);
 
   const auto k = static_cast<unsigned>(1 + gen.uniform_int(6));
   std::vector<IndependentInputArrivals::Input> inputs;
@@ -167,7 +180,12 @@ TEST_P(RandomModelSweep, WaitingIncreasesWithExtraLoad) {
   const QueueSpec heavier{std::make_shared<CustomArrivals>(combined),
                           rq.spec.service};
   const FirstStage more(heavier);
-  EXPECT_GE(more.moments().mean, base.moments().mean - 1e-12);
+  // The mean number of waiting messages, lambda * E[w] by Little's law,
+  // cannot fall: superposed arrivals delay no original message. The mean
+  // wait per message can: single messages added to a batchy base wait
+  // less than the base's batch mates and pull the average down.
+  EXPECT_GE((rq.lambda + 0.02) * more.moments().mean,
+            rq.lambda * base.moments().mean - 1e-12);
   EXPECT_GE(more.moments().variance, base.moments().variance - 1e-9);
 }
 

@@ -1,6 +1,6 @@
-// Shard routing: the fleet invariant is "same canonical cache key ->
-// same worker", which is what makes per-shard caches as effective as one
-// shared cache and fleet responses bit-identical to single-process serve.
+// Shard routing: the invariant is "same canonical cache key -> same
+// shard", which keeps a repeated tuple a cache hit whichever connection
+// it arrives on.
 #include "fleet/routing.hpp"
 
 #include <gtest/gtest.h>
@@ -50,24 +50,6 @@ TEST(Route, IsDeterministicAndInRange) {
       EXPECT_EQ(w, route(h, n));  // stable
     }
   }
-}
-
-TEST(RouteAlive, PrefersPrimaryThenScansUpward) {
-  const std::vector<bool> all{true, true, true, true};
-  for (std::uint64_t h = 0; h < 16; ++h)
-    EXPECT_EQ(route_alive(h, all), route(h, 4));
-
-  // Primary dead: the next live index (wrapping) takes the shard.
-  std::vector<bool> alive{true, false, true, true};
-  EXPECT_EQ(route_alive(1, alive), 2);  // 1 is dead -> 2
-  alive = {false, false, false, true};
-  EXPECT_EQ(route_alive(0, alive), 3);
-  EXPECT_EQ(route_alive(3, alive), 3);
-}
-
-TEST(RouteAlive, AllDeadReturnsSize) {
-  const std::vector<bool> none{false, false, false};
-  EXPECT_EQ(route_alive(7, none), 3u);
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -22,18 +25,13 @@ TEST(ThreadPool, SpawnsRequestedThreads) {
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 100; ++i)
+      pool.submit([&] { counter.fetch_add(1); });
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -118,12 +116,13 @@ TEST(ParallelMap, CollectsInIndexOrder) {
 
 TEST(ThreadPool, AttachMetricsRecordsTaskTelemetry) {
   obs::Registry reg;
-  ThreadPool pool(2);
-  pool.attach_metrics(&reg);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i)
-    pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
+  {
+    ThreadPool pool(2);
+    pool.attach_metrics(&reg);
+    for (int i = 0; i < 20; ++i)
+      pool.submit([&] { counter.fetch_add(1); });
+  }
   EXPECT_EQ(counter.load(), 20);
   if constexpr (obs::kEnabled) {
     EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
@@ -134,12 +133,62 @@ TEST(ThreadPool, AttachMetricsRecordsTaskTelemetry) {
     EXPECT_TRUE(reg.empty());
   }
   // Detach: later tasks leave the registry untouched.
-  pool.attach_metrics(nullptr);
-  pool.submit([] {});
-  pool.wait_idle();
+  {
+    ThreadPool pool(2);
+    pool.attach_metrics(&reg);
+    pool.attach_metrics(nullptr);
+    pool.submit([] {});
+  }
   if constexpr (obs::kEnabled) {
     EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
   }
+}
+
+TEST(ParallelFor, ConcurrentCallersReturnWhileThePoolStaysBusy) {
+  // A third thread keeps the pool busy for as long as the test runs: each
+  // of its tasks submits its successor before it ends, so the pool never
+  // drains. Two parallel_for calls sharing the pool must still return once
+  // their own indices are done. The chain stops at a watchdog deadline, so
+  // a call that waits for the whole pool shows up as a failure rather
+  // than a hang.
+  ThreadPool pool(2);
+  std::atomic<bool> stop{false};
+  std::atomic<int> chain_tasks{0};
+  std::atomic<bool> chain_ended{false};
+  std::function<void()> link = [&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    chain_tasks.fetch_add(1);
+    if (stop.load())
+      chain_ended.store(true);
+    else
+      pool.submit(link);
+  };
+  pool.submit(link);
+  while (chain_tasks.load() == 0) std::this_thread::yield();
+
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<long> sum{0};
+  const auto caller = [&] {
+    parallel_for(pool, 1000,
+                 [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); });
+  };
+  std::thread a(caller), b(caller);
+  std::thread watchdog([&] {
+    const auto deadline = start + std::chrono::seconds(20);
+    while (!stop.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop.store(true);
+  });
+  a.join();
+  b.join();
+  const bool returned_while_busy = !stop.exchange(true);
+  watchdog.join();
+  while (!chain_ended.load()) std::this_thread::yield();
+  EXPECT_TRUE(returned_while_busy)
+      << "parallel_for returned only after the pool went idle";
+  EXPECT_EQ(sum.load(), 2 * (1000L * 999L / 2L));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(20));
 }
 
 TEST(ParallelFor, AbortOnErrorSkipsPendingIndices) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +146,41 @@ TEST(EvalCache, MultiThreadedLookupsStayDeterministic) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_LE(stats.entries, static_cast<std::uint64_t>(kKeys));
+}
+
+TEST(EvalCache, ClaimedKeyIsEvaluatedOnceAcrossCallers) {
+  // The first caller claims the key; a second caller waits for its
+  // insert and is served the value instead of evaluating again.
+  EvalCache cache(1 << 20);
+  const std::string key = "k";
+  const std::uint64_t hash = fnv1a64(key);
+  ASSERT_FALSE(cache.lookup_or_claim(hash, key).has_value());
+  std::optional<std::string> second;
+  std::thread waiter([&] { second = cache.lookup_or_claim(hash, key); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.insert(hash, key, "value");
+  waiter.join();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, "value");
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(EvalCache, AbandonedClaimPassesToTheNextCaller) {
+  EvalCache cache(1 << 20);
+  const std::string key = "k";
+  const std::uint64_t hash = fnv1a64(key);
+  ASSERT_FALSE(cache.lookup_or_claim(hash, key).has_value());
+  bool second_claimed = false;
+  std::thread waiter([&] {
+    second_claimed = !cache.lookup_or_claim(hash, key).has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.abandon(hash, key);
+  waiter.join();
+  EXPECT_TRUE(second_claimed);
+  cache.insert(hash, key, "value");
+  EXPECT_EQ(cache.lookup_or_claim(hash, key).value_or(""), "value");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -364,6 +365,135 @@ TEST(Service, RunListenServesASocketConnection) {
   EXPECT_EQ(result_bytes(lines[0]), result_bytes(lines[1]));
   // The socket path is unlinked on exit.
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/// Connect to a Unix socket, retrying while the listener comes up.
+int connect_unix(const std::string& path) {
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) == 0)
+      return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// One response line from `fd`, or "" when none arrives within `budget`.
+std::string read_line(int fd, std::chrono::milliseconds budget) {
+  std::string line;
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    char c = 0;
+    if (::read(fd, &c, 1) != 1) break;
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+  return {};
+}
+
+TEST(Service, RunListenAnswersTwoConnectionsAtOnce) {
+  // Client A stays connected while client B asks: B must be answered
+  // without waiting for A to hang up.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ksw_serve_two_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Service service(ServeOptions{});
+  par::CancelToken cancel;
+  ServeSummary summary;
+  std::thread server(
+      [&] { summary = service.run_listen(path, &cancel); });
+
+  const std::string request =
+      R"({"kernel":"closed_form","id":1,"params":{"family":"uniform"}})"
+      "\n";
+  const int a = connect_unix(path);
+  ASSERT_GE(a, 0);
+  ASSERT_EQ(::write(a, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  const std::string first = read_line(a, std::chrono::seconds(10));
+  const int b = connect_unix(path);
+  ASSERT_GE(b, 0);
+  ASSERT_EQ(::write(b, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  const std::string second = read_line(b, std::chrono::seconds(5));
+
+  cancel.request();
+  ::close(a);
+  ::close(b);
+  server.join();
+  EXPECT_NE(first.find(R"("ok":true)"), std::string::npos) << first;
+  EXPECT_NE(second.find(R"("ok":true)"), std::string::npos)
+      << "the second client was not answered while the first stayed "
+         "connected";
+  EXPECT_EQ(summary.connections, 2u);
+  EXPECT_EQ(summary.responses, 2u);
+}
+
+TEST(Service, RunFdShedsPastTheAdmissionLimit) {
+  // One pending request allowed: the rest of a burst read along with it
+  // is answered in-band with "overload", still in request order.
+  ServeOptions opts;
+  opts.threads = 1;
+  opts.max_pending = 1;
+  Service service(opts);
+  std::string input;
+  for (int i = 0; i < 200; ++i)
+    input += R"({"kernel":"later_stages","id":)" + std::to_string(i) +
+             R"(,"params":{"k":2,"p":0.)" + std::to_string(100 + i) +
+             R"(,"stage":8}})" + "\n";
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::string output;
+  std::thread drain([&] {
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(out_pipe[0], buf, sizeof buf)) > 0)
+      output.append(buf, static_cast<std::size_t>(n));
+  });
+  std::thread feed([&] {
+    std::size_t done = 0;
+    while (done < input.size()) {
+      const ssize_t n =
+          ::write(in_pipe[1], input.data() + done, input.size() - done);
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(in_pipe[1]);
+  });
+  const ServeSummary summary =
+      service.run_fd(in_pipe[0], out_pipe[1], nullptr);
+  feed.join();
+  ::close(out_pipe[1]);
+  drain.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+
+  EXPECT_EQ(summary.responses, 200u);
+  const auto lines = lines_of(output);
+  ASSERT_EQ(lines.size(), 200u);
+  int overload = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const io::Json doc = io::Json::parse(lines[i]);
+    EXPECT_EQ(doc.at("id").as_int(), static_cast<std::int64_t>(i));
+    if (!doc.at("ok").as_bool() &&
+        doc.at("error").at("kind").as_string() == "overload")
+      ++overload;
+  }
+  EXPECT_GT(overload, 0);
+  EXPECT_LT(overload, 200);
+  EXPECT_EQ(service.registry().counters().at("serve.shed.overload")->value(),
+            static_cast<std::uint64_t>(overload));
 }
 
 TEST(Service, MultiThreadedRepeatedTuplesStayBitIdentical) {

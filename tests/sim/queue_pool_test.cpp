@@ -4,11 +4,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "rng/xoshiro.hpp"
 #include "sim/active_set.hpp"
 #include "sim/queue_pool.hpp"
 
@@ -55,10 +55,11 @@ TEST(QueuePool, ManyQueuesInterleavedMatchDeque) {
   constexpr std::size_t kQueues = 17;
   QueuePool<std::uint32_t> pool(kQueues);
   std::vector<std::deque<std::uint32_t>> ref(kQueues);
-  rng::Xoshiro256 gen(7);
+  std::mt19937_64 gen(7);
   for (std::uint32_t step = 0; step < 20'000; ++step) {
-    const auto q = static_cast<std::size_t>(gen.uniform_int(kQueues));
-    if (gen.uniform() < 0.55 || ref[q].empty()) {
+    const auto q = static_cast<std::size_t>(gen() % kQueues);
+    const bool push = gen() % 100 < 55;
+    if (push || ref[q].empty()) {
       pool.push(q, step);
       ref[q].push_back(step);
     } else {
